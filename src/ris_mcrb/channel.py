@@ -9,19 +9,21 @@ ordinary real linear-Gaussian problem. Building B with the off-diagonal
 part of the scatter matrix zeroed out yields the coupling-unaware model
 used as the (mis)estimation model.
 
-All linear systems go through an LU factorization with a reciprocal
-condition estimate; nothing in production paths forms an explicit inverse.
+The coupling-unaware system is diagonal, so its rows are the closed form
+``z_rs / (z_ss_self + loads_g)``; its singularity guard is the exact 1-norm
+reciprocal condition number of a diagonal matrix, ``min|d| / max|d|``. The
+dense coupling-aware systems go through an LAPACK LU factorization with a
+1-norm reciprocal condition estimate. Both guards reject a configuration
+below ``RCOND_FLOOR``; nothing in production paths forms an explicit inverse.
 RNG streams are derived from a master seed with fixed spawn keys so that
 load sampling and noise generation never share or reorder draws.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.linalg import get_lapack_funcs
 
 from .errors import SingularModelError
@@ -78,7 +80,8 @@ class RisLoadSequence:
     generation_seed: int
 
     def __post_init__(self):
-        arr = np.asarray(self.loads, dtype=complex)
+        # freeze a view so the caller's own array stays writeable
+        arr = np.asarray(self.loads, dtype=complex).view()
         if arr.ndim != 2:
             raise ValueError("loads must be a (G, N) array")
         if np.any(arr.imag <= 0.0):
@@ -117,20 +120,24 @@ def sample_loads(scenario: Scenario, rng: np.random.Generator | None = None) -> 
     return RisLoadSequence(loads=loads, generation_seed=scenario.rng_seed)
 
 
-def _factor(z: np.ndarray, context: str):
-    anorm = np.linalg.norm(z, 1)
-    with warnings.catch_warnings():
-        # exact singularity is caught below via the condition estimate
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(z, check_finite=False)
-    gecon = get_lapack_funcs("gecon", (lu,))
-    rcond, info = gecon(lu, anorm)
-    if info != 0 or not np.isfinite(rcond) or rcond < RCOND_FLOOR:
-        raise SingularModelError(
-            f"{context}: impedance system is singular or numerically rank "
-            f"deficient (reciprocal condition estimate {rcond:.3e})",
-            rcond=float(rcond),
-        )
+def _singular(context: str, rcond) -> SingularModelError:
+    return SingularModelError(
+        f"{context}: impedance system is singular or numerically rank "
+        f"deficient (reciprocal condition estimate {rcond:.3e})",
+        rcond=float(rcond),
+    )
+
+
+def _factor(getrf, gecon, z: np.ndarray, anorm: float, context: str):
+    """LU-factor the Fortran-ordered ``z`` in place and guard it.
+
+    ``anorm`` is the 1-norm of ``z`` before factoring; the 1-norm
+    reciprocal condition estimate must reach ``RCOND_FLOOR``.
+    """
+    lu, piv, info = getrf(z, overwrite_a=True)
+    rcond, con_info = gecon(lu, anorm)
+    if info != 0 or con_info != 0 or not np.isfinite(rcond) or rcond < RCOND_FLOOR:
+        raise _singular(context, rcond)
     return lu, piv
 
 
@@ -141,42 +148,66 @@ def e2e_channel(z_rs, z_ss_total, z_ris_g, z_st) -> complex:
     solved via LU, never inverted.
     """
     z_rs = np.asarray(z_rs, dtype=complex)
-    z_st = np.asarray(z_st, dtype=complex)
-    z = np.array(z_ss_total, dtype=complex)
-    n = z.shape[0]
-    diag = np.arange(n)
+    z = np.array(z_ss_total, dtype=complex, order="F")
+    diag = np.arange(z.shape[0])
     z[diag, diag] += np.asarray(z_ris_g, dtype=complex)
-    lu_piv = _factor(z, "end-to-end channel")
-    return complex(z_rs @ lu_solve(lu_piv, z_st, check_finite=False))
+    getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (z,))
+    lu, piv = _factor(getrf, gecon, z, np.linalg.norm(z, 1), "end-to-end channel")
+    x, _ = getrs(lu, piv, np.asarray(z_st, dtype=complex))
+    return complex(z_rs @ x)
 
 
 def build_B(z_rs, z_ss_self, z_ss_mutual, load_seq) -> np.ndarray:
     """Stack the per-configuration row vectors into the G x N model matrix.
 
     Row g is ``z_rs^T (diag(z_ss_self) + z_ss_mutual + diag(loads_g))^{-1}``.
-    The system matrix is complex-symmetric, so the transposed solve that a
-    row requires coincides with the plain solve of the factored system.
-    Passing ``None`` (or zeros) for ``z_ss_mutual`` produces the
-    coupling-unaware model.
+    Passing ``None`` for ``z_ss_mutual`` produces the coupling-unaware
+    model: the system is diagonal, row g is ``z_rs / (z_ss_self + loads_g)``
+    and its guard is the exact reciprocal condition number
+    ``min|d| / max|d|`` of the diagonal ``d``. Otherwise each system is
+    LU-factored and guarded by its 1-norm reciprocal condition estimate;
+    it is complex-symmetric, so the transposed solve that a row requires
+    coincides with the plain solve of the factored system. Either guard
+    raises ``SingularModelError`` naming the configuration when the value
+    is below ``RCOND_FLOOR`` or not finite.
     """
     z_rs = np.asarray(z_rs, dtype=complex)
     n = z_rs.shape[0]
     loads = load_seq.loads if isinstance(load_seq, RisLoadSequence) else np.asarray(load_seq)
     if loads.ndim != 2 or loads.shape[1] != n:
         raise ValueError(f"loads must be (G, {n}), got {loads.shape}")
-    base = np.zeros((n, n), dtype=complex) if z_ss_mutual is None \
-        else np.array(z_ss_mutual, dtype=complex)
+
+    if z_ss_mutual is None:
+        d = np.asarray(z_ss_self, dtype=complex) + loads
+        mag = np.abs(d)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rcond = mag.min(axis=1) / mag.max(axis=1)
+        bad = ~np.isfinite(rcond) | (rcond < RCOND_FLOOR)
+        if bad.any():
+            g = int(np.argmax(bad))
+            raise _singular(f"configuration {g}", rcond[g])
+        return np.divide(z_rs, d, out=d)
+
+    base = np.array(z_ss_mutual, dtype=complex, order="F")
     diag = np.arange(n)
     base[diag, diag] += np.asarray(z_ss_self, dtype=complex)
+    base_diag = base[diag, diag]
+    # 1-norm of a configuration: max over columns of these off-diagonal
+    # sums plus the magnitude of the column's diagonal entry
+    off_abs = np.abs(base)
+    off_abs[diag, diag] = 0.0
+    off_sums = off_abs.sum(axis=0)
+    getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (base,))
 
-    g_total = loads.shape[0]
-    b = np.empty((g_total, n), dtype=complex)
+    b = np.empty((loads.shape[0], n), dtype=complex)
     z = np.empty_like(base)
-    for g in range(g_total):
+    for g in range(loads.shape[0]):
+        d = base_diag + loads[g]
         np.copyto(z, base)
-        z[diag, diag] += loads[g]
-        lu_piv = _factor(z, f"configuration {g}")
-        b[g] = lu_solve(lu_piv, z_rs, check_finite=False)
+        z[diag, diag] = d
+        anorm = (off_sums + np.abs(d)).max()
+        lu, piv = _factor(getrf, gecon, z, anorm, f"configuration {g}")
+        b[g], _ = getrs(lu, piv, z_rs)
     return b
 
 
@@ -188,7 +219,8 @@ class RealifiedModel:
     includes_mutual_coupling: bool
 
     def __post_init__(self):
-        d = np.asarray(self.matrix, dtype=float)
+        # freeze a view so the caller's own array stays writeable
+        d = np.asarray(self.matrix, dtype=float).view()
         if d.ndim != 2 or d.shape[0] % 2 or d.shape[1] % 2:
             raise ValueError("realified matrix must be 2G x 2N")
         g, n = d.shape[0] // 2, d.shape[1] // 2

@@ -213,7 +213,8 @@ class ImpedanceSet:
 
     def __post_init__(self):
         for name in ("z_st", "z_rs", "z_ss_self", "z_ss_mutual"):
-            arr = np.asarray(getattr(self, name), dtype=complex)
+            # freeze a view so the caller's own array stays writeable
+            arr = np.asarray(getattr(self, name), dtype=complex).view()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         n = self.z_st.shape[0]

@@ -52,7 +52,8 @@ DEFAULT_CONFIG = {
 
 
 def _readonly(a):
-    out = np.asarray(a, dtype=float)
+    # freeze a view so the caller's own array stays writeable
+    out = np.asarray(a, dtype=float).view()
     out.flags.writeable = False
     return out
 

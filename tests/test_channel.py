@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from ris_mcrb.channel import (
+    RCOND_FLOOR,
     RealifiedModel,
+    RisLoadSequence,
     build_B,
     complexify_vec,
     e2e_channel,
@@ -167,6 +170,112 @@ class TestBuildB:
             gaps.append(np.abs(b_eps - b_mismatched).max())
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] <= 1e-9 * np.abs(b_mismatched).max()
+
+
+def gecon_rcond(z):
+    """LAPACK's 1-norm reciprocal condition estimate of ``z``."""
+    getrf, gecon = get_lapack_funcs(("getrf", "gecon"), (z,))
+    lu, _, _ = getrf(z)
+    return gecon(lu, np.linalg.norm(z, 1))[0]
+
+
+def lu_rows(z_rs, z_self, z_mut, loads):
+    """Reference model rows through scipy's lu_factor/lu_solve wrappers."""
+    n = len(z_rs)
+    rows = []
+    for load in loads:
+        z = np.array(z_mut, dtype=complex)
+        z[np.arange(n), np.arange(n)] += z_self
+        z[np.arange(n), np.arange(n)] += load
+        rows.append(lu_solve(lu_factor(z), z_rs))
+    return np.array(rows)
+
+
+class TestBuildBPaths:
+    def test_unaware_rows_match_solve_oracle(self):
+        rng = np.random.default_rng(41)
+        g, n = 40, 9
+        z_self = crandn(rng, (n,)) + 3.0
+        loads = crandn(rng, (g, n)) + 4j
+        z_rs = crandn(rng, (n,))
+        b = build_B(z_rs, z_self, None, loads)
+        for row in range(g):
+            z = np.diag(z_self + loads[row])
+            want = np.linalg.solve(z.T, z_rs)
+            assert np.linalg.norm(b[row] - want) <= 1e-15 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_unaware_guard_is_exact_diagonal_rcond(self, seed):
+        # rows whose diagonal spans more than 1/RCOND_FLOOR in magnitude are
+        # rejected, and the rcond they carry is what gecon reports
+        rng = np.random.default_rng(seed)
+        n = 6
+        z_self = crandn(rng, (n,))
+        d = crandn(rng, (n,))
+        d[rng.integers(n)] *= 10.0 ** rng.uniform(-17.0, -14.0)
+        loads = np.stack([z_self + 1.0 + 1j, d - z_self])
+        with pytest.raises(SingularModelError, match="configuration 1") as exc_info:
+            build_B(np.ones(n, dtype=complex), z_self, None, loads)
+        want = gecon_rcond(np.diag(z_self + loads[1]))
+        assert want < RCOND_FLOOR
+        assert exc_info.value.rcond == pytest.approx(want, rel=1e-14)
+
+    def test_diagonal_rcond_matches_gecon(self):
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            d = crandn(rng, (8,)) * 10.0 ** rng.uniform(-6.0, 6.0, 8)
+            mag = np.abs(d)
+            assert mag.min() / mag.max() == pytest.approx(
+                gecon_rcond(np.diag(d)), rel=1e-14)
+
+    @pytest.mark.parametrize("zero_row", [
+        [-(1.0 + 1.0j), 1j],      # one diagonal entry exactly zero
+        [-(1.0 + 1.0j), -2.0],    # whole diagonal zero: rcond is not finite
+    ])
+    def test_singular_unaware_row_reports_index_and_rcond(self, zero_row):
+        z_self = np.array([1.0 + 1.0j, 2.0])
+        loads = np.array([[1j, 1j], [1j, 2j], zero_row])
+        with pytest.raises(SingularModelError, match="configuration 2") as exc_info:
+            build_B(np.ones(2, dtype=complex), z_self, None, loads)
+        rcond = exc_info.value.rcond
+        assert rcond is not None
+        assert not rcond >= RCOND_FLOOR
+
+    @pytest.mark.parametrize("g, n", [(1, 1), (7, 4), (12, 16), (3, 33)])
+    def test_aware_rows_bit_identical_to_lu_wrappers(self, g, n):
+        rng = np.random.default_rng(100 * g + n)
+        z_self = crandn(rng, (n,)) + 5.0
+        z_mut = symmetric_system(rng, n, diag_boost=0.0)
+        z_mut[np.arange(n), np.arange(n)] = 0.0
+        loads = crandn(rng, (g, n)) + 5j
+        z_rs = crandn(rng, (n,))
+        b = build_B(z_rs, z_self, z_mut, loads)
+        assert np.array_equal(b, lu_rows(z_rs, z_self, z_mut, loads))
+
+    def test_aware_scenario_rows_bit_identical_to_lu_wrappers(self, point_002):
+        imp = point_002.impedances
+        loads = point_002.loads.loads[:8]
+        b = build_B(imp.z_rs, imp.z_ss_self, imp.z_ss_mutual, loads)
+        want = lu_rows(imp.z_rs, imp.z_ss_self, imp.z_ss_mutual, loads)
+        assert np.array_equal(b, want)
+
+
+class TestFrozenFields:
+    def test_load_sequence_leaves_caller_array_writeable(self):
+        loads = np.full((2, 3), 1.0 + 1.0j)
+        seq = RisLoadSequence(loads=loads, generation_seed=0)
+        assert loads.flags.writeable
+        assert not seq.loads.flags.writeable
+        with pytest.raises(ValueError):
+            seq.loads[0, 0] = 2.0j
+
+    def test_realified_model_leaves_caller_array_writeable(self):
+        matrix = np.array([[1.0, -2.0], [2.0, 1.0]])
+        model = RealifiedModel(matrix=matrix, includes_mutual_coupling=False)
+        assert matrix.flags.writeable
+        assert not model.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            model.matrix[0, 0] = 0.0
 
 
 class TestRealify:

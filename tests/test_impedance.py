@@ -242,6 +242,15 @@ class TestImpedanceSet:
                 z_ss_mutual=np.array([[0.0, 1.0], [2.0, 0.0]]),
             )
 
+    def test_leaves_caller_arrays_writeable(self):
+        arrays = dict(z_st=np.ones(2, dtype=complex), z_rs=np.ones(2, dtype=complex),
+                      z_ss_self=np.ones(2, dtype=complex),
+                      z_ss_mutual=np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+        imp = ImpedanceSet(**arrays)
+        for name, arr in arrays.items():
+            assert arr.flags.writeable
+            assert not getattr(imp, name).flags.writeable
+
 
 class TestQuadratureSpec:
     @pytest.mark.parametrize(

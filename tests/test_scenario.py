@@ -93,6 +93,12 @@ class TestRadiator:
         with pytest.raises(ValueError):
             rad.position[0] = 1.0
 
+    def test_caller_position_stays_writeable(self):
+        position = np.zeros(3)
+        rad = Radiator(position, 1e-3, 1e-5)
+        assert position.flags.writeable
+        assert not rad.position.flags.writeable
+
 
 class TestLoadScenario:
     def test_empty_config_gives_reference_defaults(self):
