@@ -16,7 +16,6 @@ from .bounds import (
     mc_rmse,
     mcrb_trace,
     ml_estimate,
-    noise_variance,
     pseudo_true,
 )
 from .channel import (
@@ -25,7 +24,6 @@ from .channel import (
     build_B,
     complexify_vec,
     e2e_channel,
-    generate_observations,
     model_pair,
     realify,
     realify_vec,
@@ -47,9 +45,7 @@ from .impedance import (
     build_impedance_set,
     coupling_vector,
     impedance_matrix,
-    kernel_distance,
     mutual_impedance,
-    self_impedance,
 )
 from .scenario import (
     NoiseModel,

@@ -11,9 +11,10 @@ the classical matched bound.
 
 Everything routes through one economy QR factorization of the estimation
 matrix; explicit inverses appear only in the test suite as oracles. A
-reciprocal condition estimate of the triangular factor below 1e-13 raises
-DegenerateDesignError, since traces computed past that point would be
-numerical noise.
+reciprocal condition estimate of the triangular factor below
+``channel.RCOND_FLOOR`` (the floor the impedance solves use as well)
+raises DegenerateDesignError, since traces computed past that point would
+be numerical noise.
 """
 
 from __future__ import annotations
@@ -24,19 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs, qr, solve_triangular
 
-from .channel import as_model_matrix, trial_generators
+from .channel import RCOND_FLOOR, as_model_matrix, trial_generators
 from .errors import DegenerateDesignError
-from .scenario import NoiseModel, Scenario
-
-RCOND_FLOOR = 1e-13
-
-
-def noise_variance(noise: NoiseModel) -> float:
-    """Noise variance in watts from PSD (dBm/Hz), noise figure (dB), and
-    bandwidth (Hz)."""
-    if not noise.bandwidth_hz > 0.0:
-        raise ValueError("noise bandwidth must be positive")
-    return noise.sigma2
+from .scenario import Scenario
 
 
 class _LsqFactor:
@@ -48,6 +39,7 @@ class _LsqFactor:
             raise DegenerateDesignError(
                 f"{context}: {d.shape[0]} rows cannot identify {d.shape[1]} unknowns"
             )
+        self.d = d
         self.q, self.r = qr(d, mode="economic", check_finite=False)
         trcon = get_lapack_funcs("trcon", (self.r,))
         rcond, info = trcon(self.r)
@@ -62,6 +54,15 @@ class _LsqFactor:
     def solve(self, rhs):
         """Least-squares solution argmin ||d @ x - rhs||."""
         return solve_triangular(self.r, self.q.T @ rhs, check_finite=False)
+
+    def project(self, d_true, x_true) -> np.ndarray:
+        """Least-squares projection of d_true @ x_true onto the columns of
+        the factored matrix; exactly x_true when the models match."""
+        d_true = as_model_matrix(d_true)
+        x = np.asarray(x_true, dtype=float)
+        if self.d is d_true or np.array_equal(self.d, d_true):
+            return x.copy()
+        return self.solve(d_true @ x)
 
     def inverse_gram_trace(self) -> float:
         """Tr((d^T d)^{-1}) via the triangular factor."""
@@ -87,12 +88,7 @@ def pseudo_true(d_est, d_true, x_true) -> np.ndarray:
     """Parameter of the estimation model closest (in expected
     log-likelihood) to the true data distribution: the least-squares
     projection of D_true x onto the column space of D_est."""
-    factor = _LsqFactor(d_est, "estimation model")
-    d_est_m, d_true_m = as_model_matrix(d_est), as_model_matrix(d_true)
-    x = np.asarray(x_true, dtype=float)
-    if d_est_m is d_true_m or np.array_equal(d_est_m, d_true_m):
-        return x.copy()  # matched models project exactly onto themselves
-    return factor.solve(d_true_m @ x)
+    return _LsqFactor(d_est, "estimation model").project(d_true, x_true)
 
 
 def mcrb_trace(d_est, gamma: float) -> float:
@@ -144,14 +140,8 @@ def lower_bound(d_est, d_true, x_true, gamma: float, *, p_t: float | None = None
         raise ValueError("SNR gamma must be positive")
     factor = _LsqFactor(d_est, "estimation model")
     tr_mcrb = factor.inverse_gram_trace() / (2.0 * gamma)
-
-    d_est_m, d_true_m = as_model_matrix(d_est), as_model_matrix(d_true)
-    x = np.asarray(x_true, dtype=float)
-    if d_est_m is d_true_m or np.array_equal(d_est_m, d_true_m):
-        tr_bias = 0.0
-    else:
-        diff = x - factor.solve(d_true_m @ x)
-        tr_bias = float(diff @ diff)
+    diff = np.asarray(x_true, dtype=float) - factor.project(d_true, x_true)
+    tr_bias = float(diff @ diff)
     return BoundReport(
         p_t=p_t,
         gamma=gamma,

@@ -80,8 +80,8 @@ class RisLoadSequence:
     generation_seed: int
 
     def __post_init__(self):
-        # freeze a view so the caller's own array stays writeable
-        arr = np.asarray(self.loads, dtype=complex).view()
+        # freeze a copy so later writes to the caller's array cannot reach it
+        arr = np.array(self.loads, dtype=complex)
         if arr.ndim != 2:
             raise ValueError("loads must be a (G, N) array")
         if np.any(arr.imag <= 0.0):
@@ -213,7 +213,8 @@ def build_B(z_rs, z_ss_self, z_ss_mutual, load_seq) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RealifiedModel:
-    """Real 2G x 2N block form of a complex G x N model matrix."""
+    """Real 2G x 2N block form of a complex G x N model matrix. ``matrix``
+    is a read-only view sharing memory with the caller's array."""
 
     matrix: np.ndarray
     includes_mutual_coupling: bool
@@ -285,26 +286,3 @@ def model_pair(impedances: ImpedanceSet, load_seq) -> tuple[RealifiedModel, Real
     d_est = realify(b_est, includes_mutual_coupling=False)
     return d_true, d_est, realify_vec(impedances.z_st)
 
-
-def generate_observations(
-    d_true,
-    x_true,
-    p_t: float,
-    sigma2: float,
-    rng: np.random.Generator,
-    *,
-    noiseless: bool = False,
-) -> np.ndarray:
-    """One stacked real observation vector: sqrt(P_T) * D x plus white
-    Gaussian noise of per-component variance sigma2/2 (suppressed entirely
-    when ``noiseless`` is set)."""
-    if not p_t > 0.0:
-        raise ValueError("transmit power must be positive")
-    if not sigma2 > 0.0:
-        raise ValueError("noise variance must be positive")
-    d = as_model_matrix(d_true)
-    x = np.asarray(x_true, dtype=float)
-    r = np.sqrt(p_t) * (d @ x)
-    if not noiseless:
-        r = r + rng.standard_normal(d.shape[0]) * np.sqrt(sigma2 / 2.0)
-    return r

@@ -2,11 +2,12 @@
 
 Each runner takes a SweepRequest, evaluates one bound report per grid
 point, and returns a SweepResult whose rows are ordered by the sweep
-grids. Impedances are computed once per (size, spacing) and reused across
-the transmit-power grid. The RIS load sequence always comes from the
-dedicated load substream of the master seed, so every spacing and size
-sees the same draw order; noise streams are keyed by the transmit-power
-value, so dropping a grid point never changes the remaining rows.
+grids. The spacing runners share one (spacing x size) loop; the power
+runners build each spacing once and compose every row from ``lower_bound``
+and ``crlb``. The RIS load sequence always comes from the dedicated load
+substream of the master seed, so every spacing and size sees the same
+draw order; noise streams are keyed by the transmit-power value, so
+dropping a grid point never changes the remaining rows.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
-from .bounds import BoundReport, bias_trace, inverse_gram_trace, mc_rmse
+from .bounds import BoundReport, bias_trace, crlb, inverse_gram_trace, lower_bound, mc_rmse
 from .channel import model_pair, noise_seed, sample_loads
 from .errors import ComputationError, annotate
 from .impedance import DEFAULT_QUADRATURE, QuadratureSpec, build_impedance_set, mutual_impedance
@@ -113,16 +114,10 @@ def _power_sweep(request: SweepRequest, *, want_rmse: bool,
     for d in request.spacing_grid:
         try:
             point = _build_point(scenario, d, quad=quad)
-            d_est = point.d_true if request.matched else point.d_est
-            per_spacing.append((
-                point,
-                d_est,
-                inverse_gram_trace(d_est),
-                0.0 if request.matched else bias_trace(d_est, point.d_true, point.x_true),
-                inverse_gram_trace(point.d_true),
-            ))
         except ComputationError as exc:
             raise annotate(exc, f"spacing {d} lambda") from exc
+        d_est = point.d_true if request.matched else point.d_est
+        per_spacing.append((point, d_est))
         if model_sink is not None:
             model_sink(d, point.n1, point.n2, point.d_true, d_est)
 
@@ -130,29 +125,19 @@ def _power_sweep(request: SweepRequest, *, want_rmse: bool,
     for p_dbm in request.power_grid:
         p_t = dbm_to_watts(p_dbm)
         gamma = p_t / sigma2
-        for d, (point, d_est, tr_gram_est, tr_bias, tr_gram_true) in zip(
-                request.spacing_grid, per_spacing):
-            tr_mcrb = tr_gram_est / (2.0 * gamma)
-            rmse = None
-            if want_rmse:
-                try:
-                    rmse = mc_rmse(
+        for d, (point, d_est) in zip(request.spacing_grid, per_spacing):
+            try:
+                report = replace(
+                    lower_bound(d_est, point.d_true, point.x_true, gamma, p_t=p_t),
+                    crlb=crlb(point.d_true, gamma))
+                if want_rmse:
+                    report = replace(report, rmse=mc_rmse(
                         scenario, d_est, point.d_true, point.x_true, p_t,
                         request.trials, noise_seed(scenario.rng_seed, p_dbm),
-                        noiseless=request.noiseless,
-                    )
-                except ComputationError as exc:
-                    raise annotate(
-                        exc, f"power {p_dbm} dBm, spacing {d} lambda") from exc
-            report = BoundReport(
-                p_t=p_t,
-                gamma=gamma,
-                tr_mcrb=tr_mcrb,
-                tr_bias=tr_bias,
-                lb=float(np.sqrt(tr_mcrb + tr_bias)),
-                crlb=float(np.sqrt(tr_gram_true / (2.0 * gamma))),
-                rmse=rmse,
-            )
+                        noiseless=request.noiseless))
+            except ComputationError as exc:
+                raise annotate(
+                    exc, f"power {p_dbm} dBm, spacing {d} lambda") from exc
             rows.append(({"p_t_dbm": p_dbm, "d_over_lambda": d}, report))
     return SweepResult(kind=request.kind, rows=rows,
                        metadata=_metadata(scenario, started))
@@ -179,11 +164,10 @@ def run_mc_rmse(request: SweepRequest,
                         model_sink=model_sink)
 
 
-def run_bias_vs_spacing(request: SweepRequest,
-                        quad: QuadratureSpec = DEFAULT_QUADRATURE) -> SweepResult:
-    """SNR-independent error floor versus element spacing, per RIS size."""
-    if request.kind != "bias_vs_spacing":
-        raise ValueError(f"expected kind 'bias_vs_spacing', got {request.kind!r}")
+def _spacing_sweep(request: SweepRequest, quad: QuadratureSpec,
+                   evaluate) -> SweepResult:
+    """One report per (spacing, size) point, spacing-major; ``evaluate``
+    maps a built point to its report."""
     scenario = request.scenario
     started = time.perf_counter()
     rows = []
@@ -191,14 +175,26 @@ def run_bias_vs_spacing(request: SweepRequest,
         for n1, n2 in request.sizes:
             try:
                 point = _build_point(scenario, d, n1, n2, quad=quad)
-                tr_bias = bias_trace(point.d_est, point.d_true, point.x_true)
+                report = evaluate(point)
             except ComputationError as exc:
                 raise annotate(exc, f"spacing {d} lambda, size {n1}x{n2}") from exc
-            report = BoundReport(p_t=None, gamma=None, tr_mcrb=None,
-                                 tr_bias=tr_bias, lb=None)
             rows.append(({"d_over_lambda": d, "n1": n1, "n2": n2}, report))
     return SweepResult(kind=request.kind, rows=rows,
                        metadata=_metadata(scenario, started))
+
+
+def run_bias_vs_spacing(request: SweepRequest,
+                        quad: QuadratureSpec = DEFAULT_QUADRATURE) -> SweepResult:
+    """SNR-independent error floor versus element spacing, per RIS size."""
+    if request.kind != "bias_vs_spacing":
+        raise ValueError(f"expected kind 'bias_vs_spacing', got {request.kind!r}")
+
+    def evaluate(point):
+        tr_bias = bias_trace(point.d_est, point.d_true, point.x_true)
+        return BoundReport(p_t=None, gamma=None, tr_mcrb=None,
+                           tr_bias=tr_bias, lb=None)
+
+    return _spacing_sweep(request, quad, evaluate)
 
 
 def run_crlb_vs_spacing(request: SweepRequest,
@@ -208,24 +204,16 @@ def run_crlb_vs_spacing(request: SweepRequest,
         raise ValueError(f"expected kind 'crlb_vs_spacing', got {request.kind!r}")
     if len(request.power_grid) != 1:
         raise ValueError("crlb_vs_spacing uses exactly one transmit power")
-    scenario = request.scenario
     p_t = dbm_to_watts(request.power_grid[0])
-    gamma = p_t / scenario.noise.sigma2
-    started = time.perf_counter()
-    rows = []
-    for d in request.spacing_grid:
-        for n1, n2 in request.sizes:
-            try:
-                point = _build_point(scenario, d, n1, n2, quad=quad)
-                tr = inverse_gram_trace(point.d_true)
-            except ComputationError as exc:
-                raise annotate(exc, f"spacing {d} lambda, size {n1}x{n2}") from exc
-            bound = float(np.sqrt(tr / (2.0 * gamma)))
-            report = BoundReport(p_t=p_t, gamma=gamma, tr_mcrb=tr / (2.0 * gamma),
-                                 tr_bias=0.0, lb=bound, crlb=bound)
-            rows.append(({"d_over_lambda": d, "n1": n1, "n2": n2}, report))
-    return SweepResult(kind=request.kind, rows=rows,
-                       metadata=_metadata(scenario, started))
+    gamma = p_t / request.scenario.noise.sigma2
+
+    def evaluate(point):
+        tr = inverse_gram_trace(point.d_true)
+        bound = float(np.sqrt(tr / (2.0 * gamma)))
+        return BoundReport(p_t=p_t, gamma=gamma, tr_mcrb=tr / (2.0 * gamma),
+                           tr_bias=0.0, lb=bound, crlb=bound)
+
+    return _spacing_sweep(request, quad, evaluate)
 
 
 def run_impedance_sweep(scenario: Scenario, distances_over_lambda: list[float],

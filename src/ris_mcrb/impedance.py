@@ -16,6 +16,9 @@ wires. The kernel then peaks sharply along the diagonal of the
 integration square, but the peak width is the wire radius, a fixed
 fraction of the half length at the geometries of interest, so moderate
 orders converge.
+
+``mutual_impedance`` and ``impedance_matrix`` share one pair evaluation;
+the matrix evaluates each distinct pair geometry once, an exact dedupe.
 """
 
 from __future__ import annotations
@@ -62,20 +65,6 @@ class QuadratureSpec:
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
-
-
-def kernel_distance(xi, z, rho1, rho2):
-    """Distance between a point at axial offset xi on wire p and one at
-    offset z on wire q, given radial separation rho1 and axial center
-    offset rho2. Accepts scalars or arrays; raises if the distance is
-    exactly zero anywhere (overlapping wire segments)."""
-    axial = np.asarray(z) - np.asarray(xi) + rho2
-    r = np.sqrt(rho1 * rho1 + axial * axial)
-    if np.any(r == 0.0):
-        raise DegenerateGeometryError(
-            "wire segments overlap: distance kernel reached zero"
-        )
-    return r
 
 
 @lru_cache(maxsize=32)
@@ -165,6 +154,20 @@ def _pair_offsets(p: Radiator, q: Radiator):
     return rho1, rho2
 
 
+def _impedance(p: Radiator, q: Radiator, constants: PhysicalConstants,
+               quad: QuadratureSpec):
+    """(impedance in ohm, absolute error estimate, final order) of a pair."""
+    rho1, rho2 = _pair_offsets(p, q)
+    value, err, order = _integrate(
+        constants.wavenumber, p.half_length, q.half_length, rho1, rho2, quad
+    )
+    value = value * (1j * constants.eta0 / (4.0 * math.pi * constants.wavenumber))
+    err = err * (constants.eta0 / (4.0 * math.pi * constants.wavenumber))
+    if not np.isfinite(value):
+        raise ComputationError(f"impedance evaluated to a non-finite value {value!r}")
+    return value, err, order
+
+
 def mutual_impedance(
     p: Radiator,
     q: Radiator,
@@ -175,29 +178,16 @@ def mutual_impedance(
 ):
     """Impedance (ohm) coupling two parallel thin-wire dipoles.
 
-    Passing the same radiator (same position and dimensions) for ``p`` and
-    ``q`` yields the self impedance. With ``full_output`` the absolute
-    error estimate and the final quadrature order are returned as well.
+    Passing the same ``Radiator`` object for ``p`` and ``q`` yields the
+    self impedance; two distinct radiators at the same position overlap
+    and raise ``DegenerateGeometryError``. With ``full_output`` the
+    absolute error estimate and the final quadrature order are returned
+    as well.
     """
-    rho1, rho2 = _pair_offsets(p, q)
-    value, err, order = _integrate(
-        constants.wavenumber, p.half_length, q.half_length, rho1, rho2, quad
-    )
-    value = value * (1j * constants.eta0 / (4.0 * math.pi * constants.wavenumber))
-    err = err * (constants.eta0 / (4.0 * math.pi * constants.wavenumber))
-    if not np.isfinite(value):
-        raise ComputationError(f"impedance evaluated to a non-finite value {value!r}")
+    value, err, order = _impedance(p, q, constants, quad)
     if full_output:
         return value, err, order
     return value
-
-
-def self_impedance(
-    radiator: Radiator,
-    constants: PhysicalConstants,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
-):
-    return mutual_impedance(radiator, radiator, constants, quad)
 
 
 @dataclass(frozen=True)
@@ -213,8 +203,8 @@ class ImpedanceSet:
 
     def __post_init__(self):
         for name in ("z_st", "z_rs", "z_ss_self", "z_ss_mutual"):
-            # freeze a view so the caller's own array stays writeable
-            arr = np.asarray(getattr(self, name), dtype=complex).view()
+            # freeze a copy so later writes to the caller's array cannot reach it
+            arr = np.array(getattr(self, name), dtype=complex)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         n = self.z_st.shape[0]
@@ -241,16 +231,14 @@ def impedance_matrix(
     elements: list[Radiator],
     constants: PhysicalConstants,
     quad: QuadratureSpec = DEFAULT_QUADRATURE,
-    *,
-    dedupe: bool = True,
 ):
     """Self and mutual impedances among a set of parallel radiators.
 
     Returns ``(z_self, z_mutual)`` with the self impedances as an (N,)
     vector and the mutual part as an (N, N) matrix with zero diagonal.
-    Each unordered pair is evaluated once and mirrored. With ``dedupe``
-    (default) pairs with bit-identical geometry offsets share a single
-    quadrature evaluation, which collapses the cost on regular grids.
+    Each unordered pair is evaluated once and mirrored, and pairs with
+    bit-identical geometry share a single quadrature evaluation, which
+    collapses the cost on regular grids without changing any entry.
     """
     n = len(elements)
     if n < 1:
@@ -260,23 +248,12 @@ def impedance_matrix(
 
     def evaluate(p, q, label):
         try:
-            rho1, rho2 = _pair_offsets(p, q)
+            key = (p.half_length, q.half_length, *_pair_offsets(p, q))
+            if key not in cache:
+                cache[key] = _impedance(p, q, constants, quad)[0]
         except ComputationError as exc:
             raise annotate(exc, label) from exc
-        key = (p.half_length, q.half_length, rho1, rho2)
-        if dedupe and key in cache:
-            return cache[key]
-        try:
-            value, _, _ = _integrate(
-                constants.wavenumber, p.half_length, q.half_length,
-                rho1, rho2, quad,
-            )
-        except ComputationError as exc:
-            raise annotate(exc, label) from exc
-        value = value * (1j * constants.eta0 / (4.0 * math.pi * constants.wavenumber))
-        if dedupe:
-            cache[key] = value
-        return value
+        return cache[key]
 
     z_self = np.empty(n, dtype=complex)
     for i, elem in enumerate(elements):

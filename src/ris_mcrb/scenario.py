@@ -52,8 +52,8 @@ DEFAULT_CONFIG = {
 
 
 def _readonly(a):
-    # freeze a view so the caller's own array stays writeable
-    out = np.asarray(a, dtype=float).view()
+    # freeze a copy so later writes to the caller's array cannot reach it
+    out = np.array(a, dtype=float)
     out.flags.writeable = False
     return out
 

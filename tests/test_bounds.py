@@ -10,7 +10,6 @@ from ris_mcrb.bounds import (
     mc_rmse,
     mcrb_trace,
     ml_estimate,
-    noise_variance,
     pseudo_true,
 )
 from ris_mcrb.channel import as_model_matrix, realify
@@ -38,16 +37,16 @@ def iterative_pseudo_true(d_est, d_true, x_true):
 
 class TestNoiseVariance:
     def test_reference_values(self):
-        got = noise_variance(NoiseModel(-173.855, 10.0, 1.0))
+        got = NoiseModel(-173.855, 10.0, 1.0).sigma2
         assert got == pytest.approx(10.0 ** (-19.3855), rel=1e-12)
 
     def test_zero_noise_figure(self):
-        got = noise_variance(NoiseModel(-173.855, 0.0, 1.0))
+        got = NoiseModel(-173.855, 0.0, 1.0).sigma2
         assert got == pytest.approx(10.0 ** (-20.3855), rel=1e-12)
 
     def test_bandwidth_linearity(self):
-        one = noise_variance(NoiseModel(-173.855, 10.0, 1.0))
-        ten = noise_variance(NoiseModel(-173.855, 10.0, 10.0))
+        one = NoiseModel(-173.855, 10.0, 1.0).sigma2
+        ten = NoiseModel(-173.855, 10.0, 10.0).sigma2
         assert ten == pytest.approx(10.0 * one, rel=1e-15)
 
 

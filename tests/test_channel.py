@@ -14,7 +14,6 @@ from ris_mcrb.channel import (
     build_B,
     complexify_vec,
     e2e_channel,
-    generate_observations,
     model_pair,
     realify,
     realify_vec,
@@ -269,6 +268,14 @@ class TestFrozenFields:
         with pytest.raises(ValueError):
             seq.loads[0, 0] = 2.0j
 
+    def test_load_sequence_holds_a_copy(self):
+        # a later write to the caller's array must not get past the
+        # inductive-load check
+        loads = np.full((2, 3), 1.0 + 1.0j)
+        seq = RisLoadSequence(loads=loads, generation_seed=0)
+        loads[0, 0] = -5j
+        assert seq.loads[0, 0] == 1.0 + 1.0j
+
     def test_realified_model_leaves_caller_array_writeable(self):
         matrix = np.array([[1.0, -2.0], [2.0, 1.0]])
         model = RealifiedModel(matrix=matrix, includes_mutual_coupling=False)
@@ -328,40 +335,6 @@ class TestRealify:
         assert np.array_equal(model.complex_model, b)
         assert model.num_configurations == 4
         assert model.num_elements == 2
-
-
-class TestGenerateObservations:
-    def test_noiseless_is_exact(self):
-        rng = np.random.default_rng(31)
-        b = crandn(rng, (6, 2))
-        model = realify(b, includes_mutual_coupling=True)
-        x = rng.standard_normal(4)
-        r = generate_observations(model, x, 4.0, 1.0, rng, noiseless=True)
-        assert np.array_equal(r, 2.0 * (model.matrix @ x))
-
-    def test_pure_noise_moments(self):
-        rng = np.random.default_rng(37)
-        b = crandn(rng, (3, 2))
-        model = realify(b, includes_mutual_coupling=True)
-        x = np.zeros(4)
-        sigma2 = 2.0
-        draws = np.stack([
-            generate_observations(model, x, 1.0, sigma2, rng)
-            for _ in range(100_000)
-        ])
-        variances = draws.var(axis=0)
-        assert np.allclose(variances, sigma2 / 2.0, rtol=0.02)
-        cov = np.cov(draws.T)
-        off_diag = cov - np.diag(np.diagonal(cov))
-        assert np.abs(off_diag).max() < 0.02 * sigma2 / 2.0
-
-    def test_rejects_bad_power_and_variance(self):
-        model = realify(np.eye(2), includes_mutual_coupling=False)
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            generate_observations(model, np.zeros(4), 0.0, 1.0, rng)
-        with pytest.raises(ValueError):
-            generate_observations(model, np.zeros(4), 1.0, -1.0, rng)
 
 
 class TestScenarioModels:

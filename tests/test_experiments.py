@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from ris_mcrb.bounds import bias_trace, crlb
+from ris_mcrb.bounds import bias_trace, crlb, lower_bound
 from ris_mcrb.channel import model_pair, sample_loads
 from ris_mcrb.cli import main
 from ris_mcrb.errors import ComputationError
@@ -101,6 +101,25 @@ class TestLbVsPower:
             bias_trace(d_est, d_true, x_true), rel=1e-12)
         assert report.crlb == pytest.approx(crlb(d_true, gamma), rel=1e-12)
 
+    @pytest.mark.parametrize("matched", [False, True])
+    def test_row_is_lower_bound_plus_crlb_exactly(self, small_scenario, matched):
+        d = 0.25
+        request = SweepRequest(kind="lb_vs_power", scenario=small_scenario,
+                               power_grid=[40.0], spacing_grid=[d],
+                               matched=matched)
+        ((_, report),) = run_lb_vs_power(request).rows
+        sc = small_scenario.with_overrides(ris_spacing_over_lambda=d)
+        imp = build_impedance_set(sc.tx, sc.rx, sc.ris_radiators(), sc.constants)
+        d_true, d_est, x_true = model_pair(imp, sample_loads(sc))
+        p_t = dbm_to_watts(40.0)
+        gamma = p_t / sc.noise.sigma2
+        want = lower_bound(d_true if matched else d_est, d_true, x_true,
+                           gamma, p_t=p_t)
+        for name in ("p_t", "gamma", "tr_mcrb", "tr_bias", "lb"):
+            assert getattr(report, name) == getattr(want, name)
+        assert report.crlb == crlb(d_true, gamma)
+        assert report.rmse is None
+
     def test_kind_mismatch_rejected(self, small_scenario):
         request = SweepRequest(kind="mc_rmse", scenario=small_scenario,
                                power_grid=[0.0], spacing_grid=[0.5], trials=1)
@@ -165,6 +184,17 @@ class TestSpacingSweeps:
                                spacing_grid=[1.5], sizes=[(2, 2)])
         with pytest.raises(ComputationError, match="spacing 1.5 lambda"):
             run_bias_vs_spacing(request)
+
+    def test_crlb_errors_annotated_with_grid_point(self):
+        resonant = scenario_from_config({"half_length_over_lambda": 0.5,
+                                         "ris_n1": 2, "ris_n2": 2,
+                                         "num_transmissions": 8})
+        request = SweepRequest(kind="crlb_vs_spacing", scenario=resonant,
+                               power_grid=[40.0], spacing_grid=[1.5],
+                               sizes=[(2, 2)])
+        with pytest.raises(ComputationError,
+                           match=r"spacing 1\.5 lambda, size 2x2"):
+            run_crlb_vs_spacing(request)
 
 
 class TestMcRmseSweep:

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ris_mcrb.errors import (
     DegenerateGeometryError,
@@ -14,9 +12,7 @@ from ris_mcrb.impedance import (
     build_impedance_set,
     coupling_vector,
     impedance_matrix,
-    kernel_distance,
     mutual_impedance,
-    self_impedance,
 )
 from ris_mcrb.scenario import Radiator, derive_constants
 
@@ -40,32 +36,6 @@ CURVE = {
 
 def element(x=0.0, y=0.0, z=0.0, h=H, r=R):
     return Radiator(np.array([x, y, z]), h, r)
-
-
-class TestKernelDistance:
-    def test_three_four_five(self):
-        assert kernel_distance(0.0, 0.0, 3.0, 4.0) == 5.0
-
-    def test_self_branch_floor(self):
-        assert kernel_distance(0.7, 0.7, R, 0.0) == R
-
-    def test_direct_substitution(self):
-        got = kernel_distance(1e-4, 0.0, 0.01, 0.0)
-        assert got == pytest.approx(np.sqrt(1e-4 + 1e-8), rel=1e-15)
-
-    def test_zero_distance_raises(self):
-        with pytest.raises(DegenerateGeometryError):
-            kernel_distance(0.5, 0.5, 0.0, 0.0)
-
-    @settings(deadline=None, max_examples=100)
-    @given(
-        xi=st.floats(-1e3, 1e3),
-        z=st.floats(-1e3, 1e3),
-        rho1=st.floats(1e-9, 1e3),
-        rho2=st.floats(-1e3, 1e3),
-    )
-    def test_never_below_radial_offset(self, xi, z, rho1, rho2):
-        assert kernel_distance(xi, z, rho1, rho2) >= rho1 * (1.0 - 1e-15)
 
 
 class TestMutualImpedance:
@@ -137,10 +107,16 @@ class TestMutualImpedance:
 
     def test_self_impedance_matches_radius_offset_mutual(self):
         # the self branch equals a side-by-side pair at one wire radius
-        z_self = self_impedance(element(), C28)
+        e = element()
+        z_self = mutual_impedance(e, e, C28)
         z_near = mutual_impedance(element(), element(x=R), C28)
         assert z_self == pytest.approx(z_near, rel=1e-12)
         assert z_self.real > 0.0  # radiation resistance
+
+    def test_distinct_coincident_radiators_raise(self):
+        # the self term needs the same object; an equal copy overlaps
+        with pytest.raises(DegenerateGeometryError):
+            mutual_impedance(element(), element(), C28)
 
 
 class TestImpedanceMatrix:
@@ -148,7 +124,7 @@ class TestImpedanceMatrix:
         elems = [element()]
         z_self, z_mut = impedance_matrix(elems, C28)
         assert np.array_equal(z_mut, [[0.0]])
-        assert z_self[0] == self_impedance(elems[0], C28)
+        assert z_self[0] == mutual_impedance(elems[0], elems[0], C28)
 
     def test_pair_spacing_curve_value(self):
         elems = [element(), element(x=0.1 * LAM)]
@@ -173,10 +149,14 @@ class TestImpedanceMatrix:
     def test_dedupe_matches_direct_evaluation(self):
         d = 0.2 * LAM
         elems = [element(x=i * d, y=j * d) for i in range(3) for j in range(3)]
-        fast = impedance_matrix(elems, C28, dedupe=True)
-        slow = impedance_matrix(elems, C28, dedupe=False)
-        assert np.allclose(fast[0], slow[0], rtol=1e-12, atol=0)
-        assert np.allclose(fast[1], slow[1], rtol=1e-12, atol=0)
+        z_self, z_mut = impedance_matrix(elems, C28)
+        # shared geometry keys are exact: every entry equals its own
+        # per-pair evaluation bit for bit
+        for i, p in enumerate(elems):
+            assert z_self[i] == mutual_impedance(p, p, C28)
+            for j, q in enumerate(elems):
+                if i != j:
+                    assert z_mut[i, j] == mutual_impedance(p, q, C28)
 
     def test_error_annotated_with_pair(self):
         elems = [element(), element(z=H)]  # coaxial overlap
@@ -250,6 +230,17 @@ class TestImpedanceSet:
         for name, arr in arrays.items():
             assert arr.flags.writeable
             assert not getattr(imp, name).flags.writeable
+
+    def test_holds_copies(self):
+        arrays = dict(z_st=np.ones(2, dtype=complex), z_rs=np.ones(2, dtype=complex),
+                      z_ss_self=np.ones(2, dtype=complex),
+                      z_ss_mutual=np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+        imp = ImpedanceSet(**arrays)
+        for arr in arrays.values():
+            arr[1] = 7.0
+        assert np.array_equal(imp.z_st, [1.0, 1.0])
+        assert np.array_equal(imp.z_ss_self, [1.0, 1.0])
+        assert np.array_equal(imp.z_ss_mutual, [[0.0, 1.0], [1.0, 0.0]])
 
 
 class TestQuadratureSpec:

@@ -6,6 +6,7 @@ from ris_mcrb.scenario import (
     DEFAULT_CONFIG,
     NoiseModel,
     Radiator,
+    RisGrid,
     build_ris_grid,
     derive_constants,
     dump_scenario,
@@ -82,6 +83,16 @@ class TestRisGrid:
             RisGrid(n1=1, n2=2, spacing=0.1, center=np.zeros(3),
                     element_positions=np.zeros((2, 3)))
 
+    def test_holds_copies_of_positions(self):
+        center = np.zeros(3)
+        positions = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]])
+        grid = RisGrid(n1=1, n2=2, spacing=0.1, center=center,
+                       element_positions=positions)
+        center[0] = 5.0
+        positions[1, 0] = 0.0  # would duplicate element 0
+        assert grid.center[0] == 0.0
+        assert grid.element_positions[1, 0] == 0.1
+
 
 class TestRadiator:
     def test_rejects_radius_not_below_half_length(self):
@@ -98,6 +109,12 @@ class TestRadiator:
         rad = Radiator(position, 1e-3, 1e-5)
         assert position.flags.writeable
         assert not rad.position.flags.writeable
+
+    def test_holds_a_copy_of_position(self):
+        position = np.zeros(3)
+        rad = Radiator(position, 1e-3, 1e-5)
+        position[0] = 1.0
+        assert rad.position[0] == 0.0
 
 
 class TestLoadScenario:
