@@ -64,6 +64,11 @@ class _LsqFactor:
             return x.copy()
         return self.solve(d_true @ x)
 
+    def bias_trace(self, d_true, x_true) -> float:
+        """Squared distance between x_true and its projection."""
+        diff = np.asarray(x_true, dtype=float) - self.project(d_true, x_true)
+        return float(diff @ diff)
+
     def inverse_gram_trace(self) -> float:
         """Tr((d^T d)^{-1}) via the triangular factor."""
         r_inv = solve_triangular(self.r, np.eye(self.r.shape[0]), check_finite=False)
@@ -102,23 +107,18 @@ def mcrb_trace(d_est, gamma: float) -> float:
 def bias_trace(d_est, d_true, x_true) -> float:
     """Squared distance between the true parameter and the pseudo-true
     parameter; independent of transmit power and noise level."""
-    x = np.asarray(x_true, dtype=float)
-    x0 = pseudo_true(d_est, d_true, x_true)
-    diff = x - x0
-    return float(diff @ diff)
+    return _LsqFactor(d_est, "estimation model").bias_trace(d_true, x_true)
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Bound components at one operating point. ``lb`` is
-    sqrt(tr_mcrb + tr_bias); fields a given sweep does not evaluate are
-    None."""
+    """Bound components at one operating point; fields a given sweep does
+    not evaluate are None. ``lb`` is derived, never stored."""
 
     p_t: float | None
     gamma: float | None
     tr_mcrb: float | None
     tr_bias: float | None
-    lb: float | None
     crlb: float | None = None
     rmse: float | None = None
 
@@ -127,10 +127,13 @@ class BoundReport:
             value = getattr(self, name)
             if value is not None and value < 0.0:
                 raise ValueError(f"{name} must be non-negative, got {value}")
-        if None not in (self.tr_mcrb, self.tr_bias, self.lb):
-            want = math.sqrt(self.tr_mcrb + self.tr_bias)
-            if abs(self.lb - want) > 1e-9 * max(want, 1e-300):
-                raise ValueError("lb is inconsistent with tr_mcrb + tr_bias")
+
+    @property
+    def lb(self) -> float | None:
+        """sqrt(tr_mcrb + tr_bias), or None unless both are set."""
+        if self.tr_mcrb is None or self.tr_bias is None:
+            return None
+        return math.sqrt(self.tr_mcrb + self.tr_bias)
 
 
 def lower_bound(d_est, d_true, x_true, gamma: float, *, p_t: float | None = None) -> BoundReport:
@@ -139,15 +142,11 @@ def lower_bound(d_est, d_true, x_true, gamma: float, *, p_t: float | None = None
     if not gamma > 0.0:
         raise ValueError("SNR gamma must be positive")
     factor = _LsqFactor(d_est, "estimation model")
-    tr_mcrb = factor.inverse_gram_trace() / (2.0 * gamma)
-    diff = np.asarray(x_true, dtype=float) - factor.project(d_true, x_true)
-    tr_bias = float(diff @ diff)
     return BoundReport(
         p_t=p_t,
         gamma=gamma,
-        tr_mcrb=tr_mcrb,
-        tr_bias=tr_bias,
-        lb=math.sqrt(tr_mcrb + tr_bias),
+        tr_mcrb=factor.inverse_gram_trace() / (2.0 * gamma),
+        tr_bias=factor.bias_trace(d_true, x_true),
     )
 
 
@@ -157,9 +156,7 @@ def crlb(d_true, gamma: float) -> float:
     This is the matched specialization of the mismatched bound (zero
     offset term), with the inverse of the normal matrix inside the trace.
     """
-    if not gamma > 0.0:
-        raise ValueError("SNR gamma must be positive")
-    return math.sqrt(inverse_gram_trace(d_true) / (2.0 * gamma))
+    return math.sqrt(mcrb_trace(d_true, gamma))
 
 
 def mc_rmse(

@@ -77,7 +77,6 @@ class RisLoadSequence:
     """
 
     loads: np.ndarray  # (G, N) complex ohm
-    generation_seed: int
 
     def __post_init__(self):
         # freeze a copy so later writes to the caller's array cannot reach it
@@ -117,7 +116,7 @@ def sample_loads(scenario: Scenario, rng: np.random.Generator | None = None) -> 
     resistance = rng.uniform(r_min, r_max, shape)
     inductance = rng.uniform(l_min, l_max, shape)
     loads = resistance + 1j * scenario.constants.omega * inductance
-    return RisLoadSequence(loads=loads, generation_seed=scenario.rng_seed)
+    return RisLoadSequence(loads=loads)
 
 
 def _singular(context: str, rcond) -> SingularModelError:

@@ -2,28 +2,32 @@
 
 Each runner takes a SweepRequest, evaluates one bound report per grid
 point, and returns a SweepResult whose rows are ordered by the sweep
-grids. The spacing runners share one (spacing x size) loop; the power
-runners build each spacing once and compose every row from ``lower_bound``
-and ``crlb``. The RIS load sequence always comes from the dedicated load
-substream of the master seed, so every spacing and size sees the same
-draw order; noise streams are keyed by the transmit-power value, so
-dropping a grid point never changes the remaining rows.
+grids. Every grid point is built by ``_build_point``, which returns
+``model_pair``'s ``(d_true, d_est, x_true)`` at the default quadrature (the
+runners take no quadrature option). The spacing runners share one
+(spacing x size) loop; the power runners build each spacing once, at the
+scenario's size, and compose every row from ``lower_bound`` and ``crlb``.
+The RIS load sequence always comes from the dedicated load substream of
+the master seed, so every spacing and size sees the same draw order;
+noise streams are keyed by the transmit-power value, so dropping a grid
+point never changes the remaining rows.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
-from .bounds import BoundReport, bias_trace, crlb, inverse_gram_trace, lower_bound, mc_rmse
+from .bounds import BoundReport, bias_trace, crlb, lower_bound, mc_rmse
 from .channel import model_pair, noise_seed, sample_loads
 from .errors import ComputationError, annotate
-from .impedance import DEFAULT_QUADRATURE, QuadratureSpec, build_impedance_set, mutual_impedance
+from .impedance import build_impedance_set, mutual_impedance
 from .scenario import Radiator, Scenario, dbm_to_watts
 
 SWEEP_KINDS = ("lb_vs_power", "bias_vs_spacing", "crlb_vs_spacing", "mc_rmse")
@@ -38,7 +42,8 @@ DEFAULT_CRLB_POWER_DBM = 40.0
 
 @dataclass(frozen=True)
 class SweepRequest:
-    """One experiment family instance; grids must be strictly increasing."""
+    """One experiment family instance; grids must be finite and strictly
+    increasing."""
 
     kind: str
     scenario: Scenario
@@ -54,6 +59,8 @@ class SweepRequest:
             raise ValueError(f"unknown sweep kind {self.kind!r}")
         for name, grid in (("power_grid", self.power_grid),
                            ("spacing_grid", self.spacing_grid)):
+            if not all(math.isfinite(v) for v in grid):
+                raise ValueError(f"{name} values must be finite")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError(f"{name} must be strictly increasing")
         if self.kind in ("lb_vs_power", "mc_rmse"):
@@ -78,61 +85,44 @@ class SweepResult:
     metadata: dict
 
 
-@dataclass(frozen=True)
-class _PointModels:
-    d_true: object
-    d_est: object
-    x_true: np.ndarray
-    n1: int
-    n2: int
-
-
-def _build_point(scenario: Scenario, d_over_lambda: float,
-                 n1: int | None = None, n2: int | None = None,
-                 quad: QuadratureSpec = DEFAULT_QUADRATURE) -> _PointModels:
-    overrides = {"ris_spacing_over_lambda": float(d_over_lambda)}
-    if n1 is not None:
-        overrides["ris_n1"] = int(n1)
-    if n2 is not None:
-        overrides["ris_n2"] = int(n2)
-    sc = scenario.with_overrides(**overrides)
+def _build_point(scenario: Scenario, d_over_lambda: float, n1: int, n2: int):
+    sc = scenario.with_overrides(ris_spacing_over_lambda=float(d_over_lambda),
+                                 ris_n1=int(n1), ris_n2=int(n2))
     impedances = build_impedance_set(sc.tx, sc.rx, sc.ris_radiators(),
-                                     sc.constants, quad)
-    loads = sample_loads(sc)
-    d_true, d_est, x_true = model_pair(impedances, loads)
-    return _PointModels(d_true=d_true, d_est=d_est, x_true=x_true,
-                        n1=sc.ris.n1, n2=sc.ris.n2)
+                                     sc.constants)
+    return model_pair(impedances, sample_loads(sc))
 
 
-def _power_sweep(request: SweepRequest, *, want_rmse: bool,
-                 quad: QuadratureSpec, model_sink=None) -> SweepResult:
+def _power_sweep(request: SweepRequest, model_sink) -> SweepResult:
     scenario = request.scenario
     sigma2 = scenario.noise.sigma2
     started = time.perf_counter()
 
+    n1, n2 = scenario.ris.n1, scenario.ris.n2
     per_spacing = []
     for d in request.spacing_grid:
         try:
-            point = _build_point(scenario, d, quad=quad)
+            d_true, d_est, x_true = _build_point(scenario, d, n1, n2)
         except ComputationError as exc:
             raise annotate(exc, f"spacing {d} lambda") from exc
-        d_est = point.d_true if request.matched else point.d_est
-        per_spacing.append((point, d_est))
+        if request.matched:
+            d_est = d_true
+        per_spacing.append((d_true, d_est, x_true))
         if model_sink is not None:
-            model_sink(d, point.n1, point.n2, point.d_true, d_est)
+            model_sink(d, n1, n2, d_true, d_est)
 
     rows = []
     for p_dbm in request.power_grid:
         p_t = dbm_to_watts(p_dbm)
         gamma = p_t / sigma2
-        for d, (point, d_est) in zip(request.spacing_grid, per_spacing):
+        for d, (d_true, d_est, x_true) in zip(request.spacing_grid, per_spacing):
             try:
                 report = replace(
-                    lower_bound(d_est, point.d_true, point.x_true, gamma, p_t=p_t),
-                    crlb=crlb(point.d_true, gamma))
-                if want_rmse:
+                    lower_bound(d_est, d_true, x_true, gamma, p_t=p_t),
+                    crlb=crlb(d_true, gamma))
+                if request.trials > 0:
                     report = replace(report, rmse=mc_rmse(
-                        scenario, d_est, point.d_true, point.x_true, p_t,
+                        scenario, d_est, d_true, x_true, p_t,
                         request.trials, noise_seed(scenario.rng_seed, p_dbm),
                         noiseless=request.noiseless))
             except ComputationError as exc:
@@ -143,39 +133,31 @@ def _power_sweep(request: SweepRequest, *, want_rmse: bool,
                        metadata=_metadata(scenario, started))
 
 
-def run_lb_vs_power(request: SweepRequest,
-                    quad: QuadratureSpec = DEFAULT_QUADRATURE,
-                    model_sink=None) -> SweepResult:
+def run_lb_vs_power(request: SweepRequest, model_sink=None) -> SweepResult:
     """Bounds (and optionally estimator RMSE) over a transmit-power grid,
     one curve per RIS element spacing."""
     if request.kind != "lb_vs_power":
         raise ValueError(f"expected kind 'lb_vs_power', got {request.kind!r}")
-    return _power_sweep(request, want_rmse=request.trials > 0, quad=quad,
-                        model_sink=model_sink)
+    return _power_sweep(request, model_sink)
 
 
-def run_mc_rmse(request: SweepRequest,
-                quad: QuadratureSpec = DEFAULT_QUADRATURE,
-                model_sink=None) -> SweepResult:
+def run_mc_rmse(request: SweepRequest, model_sink=None) -> SweepResult:
     """Monte-Carlo estimator RMSE alongside the bounds over a power grid."""
     if request.kind != "mc_rmse":
         raise ValueError(f"expected kind 'mc_rmse', got {request.kind!r}")
-    return _power_sweep(request, want_rmse=True, quad=quad,
-                        model_sink=model_sink)
+    return _power_sweep(request, model_sink)
 
 
-def _spacing_sweep(request: SweepRequest, quad: QuadratureSpec,
-                   evaluate) -> SweepResult:
+def _spacing_sweep(request: SweepRequest, evaluate) -> SweepResult:
     """One report per (spacing, size) point, spacing-major; ``evaluate``
-    maps a built point to its report."""
+    maps a point's ``(d_true, d_est, x_true)`` to its report."""
     scenario = request.scenario
     started = time.perf_counter()
     rows = []
     for d in request.spacing_grid:
         for n1, n2 in request.sizes:
             try:
-                point = _build_point(scenario, d, n1, n2, quad=quad)
-                report = evaluate(point)
+                report = evaluate(*_build_point(scenario, d, n1, n2))
             except ComputationError as exc:
                 raise annotate(exc, f"spacing {d} lambda, size {n1}x{n2}") from exc
             rows.append(({"d_over_lambda": d, "n1": n1, "n2": n2}, report))
@@ -183,22 +165,19 @@ def _spacing_sweep(request: SweepRequest, quad: QuadratureSpec,
                        metadata=_metadata(scenario, started))
 
 
-def run_bias_vs_spacing(request: SweepRequest,
-                        quad: QuadratureSpec = DEFAULT_QUADRATURE) -> SweepResult:
+def run_bias_vs_spacing(request: SweepRequest) -> SweepResult:
     """SNR-independent error floor versus element spacing, per RIS size."""
     if request.kind != "bias_vs_spacing":
         raise ValueError(f"expected kind 'bias_vs_spacing', got {request.kind!r}")
 
-    def evaluate(point):
-        tr_bias = bias_trace(point.d_est, point.d_true, point.x_true)
+    def evaluate(d_true, d_est, x_true):
         return BoundReport(p_t=None, gamma=None, tr_mcrb=None,
-                           tr_bias=tr_bias, lb=None)
+                           tr_bias=bias_trace(d_est, d_true, x_true))
 
-    return _spacing_sweep(request, quad, evaluate)
+    return _spacing_sweep(request, evaluate)
 
 
-def run_crlb_vs_spacing(request: SweepRequest,
-                        quad: QuadratureSpec = DEFAULT_QUADRATURE) -> SweepResult:
+def run_crlb_vs_spacing(request: SweepRequest) -> SweepResult:
     """Matched-model bound versus element spacing at one fixed power."""
     if request.kind != "crlb_vs_spacing":
         raise ValueError(f"expected kind 'crlb_vs_spacing', got {request.kind!r}")
@@ -207,20 +186,20 @@ def run_crlb_vs_spacing(request: SweepRequest,
     p_t = dbm_to_watts(request.power_grid[0])
     gamma = p_t / request.scenario.noise.sigma2
 
-    def evaluate(point):
-        tr = inverse_gram_trace(point.d_true)
-        bound = float(np.sqrt(tr / (2.0 * gamma)))
-        return BoundReport(p_t=p_t, gamma=gamma, tr_mcrb=tr / (2.0 * gamma),
-                           tr_bias=0.0, lb=bound, crlb=bound)
+    def evaluate(d_true, d_est, x_true):
+        return BoundReport(p_t=p_t, gamma=gamma, tr_mcrb=None, tr_bias=None,
+                           crlb=crlb(d_true, gamma))
 
-    return _spacing_sweep(request, quad, evaluate)
+    return _spacing_sweep(request, evaluate)
 
 
-def run_impedance_sweep(scenario: Scenario, distances_over_lambda: list[float],
-                        quad: QuadratureSpec = DEFAULT_QUADRATURE) -> SweepResult:
+def run_impedance_sweep(scenario: Scenario,
+                        distances_over_lambda: list[float]) -> SweepResult:
     """Mutual impedance of two side-by-side elements versus separation."""
     if not distances_over_lambda:
         raise ValueError("distance grid must not be empty")
+    if not all(math.isfinite(d) for d in distances_over_lambda):
+        raise ValueError("distance grid values must be finite")
     if any(b <= a for a, b in zip(distances_over_lambda, distances_over_lambda[1:])):
         raise ValueError("distance grid must be strictly increasing")
     started = time.perf_counter()
@@ -231,7 +210,7 @@ def run_impedance_sweep(scenario: Scenario, distances_over_lambda: list[float],
     rows = []
     for d in distances_over_lambda:
         second = Radiator(np.array([d * lam, 0.0, 0.0]), h, r)
-        z = mutual_impedance(first, second, scenario.constants, quad)
+        z = mutual_impedance(first, second, scenario.constants)
         rows.append((
             {"d_over_lambda": d, "re_z_ohm": z.real, "im_z_ohm": z.imag,
              "abs_z_ohm": abs(z)},

@@ -6,8 +6,8 @@ by the sinusoidal current profile of each dipole. The |xi| and |z| factors
 in the current profile put a derivative kink at the wire centers, so each
 axis is split at 0 into two panels (4 panels in the tensor product) where
 the integrand is smooth. Each panel is integrated with Gauss-Legendre
-nodes; the order doubles until two successive estimates agree to the
-requested relative tolerance.
+nodes; the order doubles on each refinement until two successive
+estimates agree to the requested relative tolerance.
 
 The self-impedance case evaluates the same kernel with the source point
 displaced to the wire surface (radial offset = wire radius, no axial
@@ -46,18 +46,16 @@ RESONANCE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Controls the panel quadrature refinement loop."""
+    """Controls the panel quadrature refinement loop; each refinement
+    doubles the order."""
 
     base_order: int = 16        # Gauss-Legendre nodes per axis per panel
-    refinement_factor: int = 2
     rel_tolerance: float = 1e-9
     max_refinements: int = 6
 
     def __post_init__(self):
         if self.base_order < 8:
             raise ValueError("base_order must be >= 8")
-        if self.refinement_factor < 2:
-            raise ValueError("refinement_factor must be >= 2")
         if not 1e-14 <= self.rel_tolerance <= 1e-3:
             raise ValueError("rel_tolerance must lie in [1e-14, 1e-3]")
         if self.max_refinements < 0:
@@ -122,7 +120,7 @@ def _integrate(k0, hp, hq, rho1, rho2, quad: QuadratureSpec):
     order = quad.base_order
     previous = latest = _tensor_estimate(k0, hp, hq, rho1, rho2, sin_p, sin_q, order)
     for _ in range(quad.max_refinements):
-        order *= quad.refinement_factor
+        order *= 2
         latest = _tensor_estimate(k0, hp, hq, rho1, rho2, sin_p, sin_q, order)
         err = abs(latest - previous)
         if err <= quad.rel_tolerance * max(abs(latest), abs(previous)):

@@ -192,7 +192,10 @@ class NoiseModel:
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:
+        raise ValueError(f"power {dbm} dBm overflows in watts") from None
 
 
 @dataclass(frozen=True)
@@ -239,7 +242,13 @@ _VEC_KEYS = {"tx_position_m", "rx_position_m", "ris_center_m"}
 def _as_number(key, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    return number
 
 
 def _as_int(key, value):

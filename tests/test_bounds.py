@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -169,10 +172,20 @@ class TestLowerBound:
 
     def test_report_validates_consistency(self):
         from ris_mcrb.bounds import BoundReport
-        with pytest.raises(ValueError, match="inconsistent"):
-            BoundReport(p_t=1.0, gamma=1.0, tr_mcrb=1.0, tr_bias=1.0, lb=3.0)
         with pytest.raises(ValueError, match="non-negative"):
-            BoundReport(p_t=1.0, gamma=1.0, tr_mcrb=-1.0, tr_bias=0.0, lb=None)
+            BoundReport(p_t=1.0, gamma=1.0, tr_mcrb=-1.0, tr_bias=0.0)
+
+    def test_lb_is_derived_from_its_parts(self, model_factory):
+        # replacing a part cannot leave a stale bound behind
+        d_est, d_true, x = model_factory(seed=21)
+        report = lower_bound(d_est, d_true, x, gamma=2.0)
+        for t in (0.0, 0.5, 3.0 * report.tr_bias):
+            assert replace(report, tr_bias=t).lb == math.sqrt(report.tr_mcrb + t)
+
+    def test_lb_needs_both_parts(self):
+        from ris_mcrb.bounds import BoundReport
+        assert BoundReport(p_t=None, gamma=None, tr_mcrb=None, tr_bias=1.0).lb is None
+        assert BoundReport(p_t=1.0, gamma=1.0, tr_mcrb=1.0, tr_bias=None).lb is None
 
 
 class TestCrlb:

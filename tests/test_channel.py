@@ -262,7 +262,7 @@ class TestBuildBPaths:
 class TestFrozenFields:
     def test_load_sequence_leaves_caller_array_writeable(self):
         loads = np.full((2, 3), 1.0 + 1.0j)
-        seq = RisLoadSequence(loads=loads, generation_seed=0)
+        seq = RisLoadSequence(loads=loads)
         assert loads.flags.writeable
         assert not seq.loads.flags.writeable
         with pytest.raises(ValueError):
@@ -272,7 +272,7 @@ class TestFrozenFields:
         # a later write to the caller's array must not get past the
         # inductive-load check
         loads = np.full((2, 3), 1.0 + 1.0j)
-        seq = RisLoadSequence(loads=loads, generation_seed=0)
+        seq = RisLoadSequence(loads=loads)
         loads[0, 0] = -5j
         assert seq.loads[0, 0] == 1.0 + 1.0j
 

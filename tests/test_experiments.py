@@ -167,6 +167,19 @@ class TestSpacingSweeps:
         assert report.crlb == pytest.approx(crlb(d_true, gamma), rel=1e-12)
         assert variables["n1"] == 2 and variables["n2"] == 2
 
+    def test_crlb_rows_carry_only_crlb(self, small_scenario):
+        request = SweepRequest(kind="crlb_vs_spacing", scenario=small_scenario,
+                               power_grid=[40.0], spacing_grid=[0.5], sizes=[(2, 2)])
+        ((_, report),) = run_crlb_vs_spacing(request).rows
+        assert report.tr_mcrb is None and report.tr_bias is None
+        assert report.lb is None and report.rmse is None
+        sc = small_scenario.with_overrides(ris_spacing_over_lambda=0.5)
+        imp = build_impedance_set(sc.tx, sc.rx, sc.ris_radiators(), sc.constants)
+        d_true, _, _ = model_pair(imp, sample_loads(sc))
+        gamma = dbm_to_watts(40.0) / sc.noise.sigma2
+        assert report.gamma == gamma
+        assert report.crlb == crlb(d_true, gamma)
+
     def test_crlb_needs_single_power(self, small_scenario):
         request = SweepRequest(kind="crlb_vs_spacing", scenario=small_scenario,
                                power_grid=[20.0, 40.0], spacing_grid=[0.5],
@@ -340,6 +353,24 @@ class TestCli:
         cfg = self.write_config(tmp_path, "ris_n1: [1, 2\n")
         assert main(["impedance-sweep", "--config", cfg]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv,config", [
+        (["lb-vs-power", "--powers-dbm", "4000", "--spacings-over-lambda", "0.5"], None),
+        (["lb-vs-power", "--powers-dbm", "nan", "--spacings-over-lambda", "0.5"], None),
+        (["crlb-vs-spacing", "--power-dbm", "4000", "--sizes", "2x2"], None),
+        (["crlb-vs-spacing", "--power-dbm", "inf", "--sizes", "2x2"], None),
+        (["mc-rmse", "--powers-dbm", "inf", "--trials", "1",
+          "--spacings-over-lambda", "0.5"], None),
+        (["bias-vs-spacing", "--spacings-over-lambda", "inf", "--sizes", "2x2"], None),
+        (["impedance-sweep", "--distances-over-lambda", "inf"], None),
+        (["impedance-sweep", "--distances-over-lambda", "0.5"],
+         "tx_position_m: [.inf, 0, 0]\n"),
+    ], ids=["power-overflow", "power-nan", "crlb-power-overflow", "crlb-power-inf",
+            "mc-power-inf", "spacing-inf", "distance-inf", "config-inf"])
+    def test_out_of_range_values_exit_code(self, tmp_path, capsys, argv, config):
+        cfg = self.write_config(tmp_path, config)
+        assert main(argv + ["--config", cfg]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # half-wavelength dipoles put the current normalization at resonance

@@ -170,6 +170,16 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="tx_position_m"):
             load_scenario("tx_position_m: [1, 2]\n")
 
+    @pytest.mark.parametrize("text,key", [
+        ("tx_position_m: [.inf, 0, 0]\n", "tx_position_m"),
+        ("frequency_ghz: .nan\n", "frequency_ghz"),
+        ("noise_figure_db: -.inf\n", "noise_figure_db"),
+        ("load_r_max_ohm: " + "9" * 400 + "\n", "load_r_max_ohm"),
+    ])
+    def test_non_finite_numbers_rejected(self, text, key):
+        with pytest.raises(ConfigError, match=key):
+            load_scenario(text)
+
     def test_roundtrip_reproduces_positions_bit_for_bit(self):
         sc = load_scenario("ris_spacing_over_lambda: 0.037\nris_n1: 5\nseed: 99\n")
         again = load_scenario(dump_scenario(sc))
