@@ -257,6 +257,7 @@ class TestQuadratureSpec:
             {"base_order": 4},
             {"rel_tolerance": 1e-2},
             {"rel_tolerance": 1e-15},
+            {"base_order": 7},
             {"max_refinements": -1},
         ],
     )
