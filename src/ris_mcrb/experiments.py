@@ -97,6 +97,8 @@ def _power_sweep(request: SweepRequest, model_sink) -> SweepResult:
     scenario = request.scenario
     sigma2 = scenario.noise.sigma2
     started = time.perf_counter()
+    # convert first, so an unusable power fails before any model is built
+    powers_w = [dbm_to_watts(p_dbm) for p_dbm in request.power_grid]
 
     n1, n2 = scenario.ris.n1, scenario.ris.n2
     per_spacing = []
@@ -112,8 +114,7 @@ def _power_sweep(request: SweepRequest, model_sink) -> SweepResult:
             model_sink(d, n1, n2, d_true, d_est)
 
     rows = []
-    for p_dbm in request.power_grid:
-        p_t = dbm_to_watts(p_dbm)
+    for p_dbm, p_t in zip(request.power_grid, powers_w):
         gamma = p_t / sigma2
         for d, (d_true, d_est, x_true) in zip(request.spacing_grid, per_spacing):
             try:

@@ -17,8 +17,11 @@ integration square, but the peak width is the wire radius, a fixed
 fraction of the half length at the geometries of interest, so moderate
 orders converge.
 
-``mutual_impedance`` and ``impedance_matrix`` share one pair evaluation;
-the matrix evaluates each distinct pair geometry once, an exact dedupe.
+Every self, mutual and coupling impedance goes through one pair
+evaluation, memoized per process within a fixed bound on the exact
+geometry (wavenumber, eta0, half lengths, offsets, quadrature spec): a
+geometry seen before, in this call or an earlier one, reuses its
+quadrature bit for bit. Failures are never memoized; they raise each time.
 """
 
 from __future__ import annotations
@@ -42,6 +45,10 @@ from .scenario import PhysicalConstants, Radiator
 # |sin(k0*h)| below this means the current normalization is effectively
 # dividing by zero (half-wavelength resonance of the profile).
 RESONANCE_TOL = 1e-9
+
+# Distinct pair geometries the memo keeps; the default spacing sweeps
+# need 2405.
+_PAIR_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -152,15 +159,13 @@ def _pair_offsets(p: Radiator, q: Radiator):
     return rho1, rho2
 
 
-def _impedance(p: Radiator, q: Radiator, constants: PhysicalConstants,
-               quad: QuadratureSpec):
-    """(impedance in ohm, absolute error estimate, final order) of a pair."""
-    rho1, rho2 = _pair_offsets(p, q)
-    value, err, order = _integrate(
-        constants.wavenumber, p.half_length, q.half_length, rho1, rho2, quad
-    )
-    value = value * (1j * constants.eta0 / (4.0 * math.pi * constants.wavenumber))
-    err = err * (constants.eta0 / (4.0 * math.pi * constants.wavenumber))
+@lru_cache(maxsize=_PAIR_MEMO_SIZE)
+def _pair_impedance(k0, eta0, hp, hq, rho1, rho2, quad: QuadratureSpec):
+    """(impedance in ohm, absolute error estimate, final order) of one pair
+    geometry."""
+    value, err, order = _integrate(k0, hp, hq, rho1, rho2, quad)
+    value = value * (1j * eta0 / (4.0 * math.pi * k0))
+    err = err * (eta0 / (4.0 * math.pi * k0))
     if not np.isfinite(value):
         raise ComputationError(f"impedance evaluated to a non-finite value {value!r}")
     return value, err, order
@@ -182,10 +187,10 @@ def mutual_impedance(
     absolute error estimate and the final quadrature order are returned
     as well.
     """
-    value, err, order = _impedance(p, q, constants, quad)
-    if full_output:
-        return value, err, order
-    return value
+    result = _pair_impedance(constants.wavenumber, constants.eta0,
+                             p.half_length, q.half_length, *_pair_offsets(p, q),
+                             quad)
+    return result if full_output else result[0]
 
 
 @dataclass(frozen=True)
@@ -234,24 +239,19 @@ def impedance_matrix(
 
     Returns ``(z_self, z_mutual)`` with the self impedances as an (N,)
     vector and the mutual part as an (N, N) matrix with zero diagonal.
-    Each unordered pair is evaluated once and mirrored, and pairs with
-    bit-identical geometry share a single quadrature evaluation, which
-    collapses the cost on regular grids without changing any entry.
+    Each unordered pair is looked up once and mirrored; the process-wide
+    pair memo integrates each distinct geometry once, which collapses the
+    cost on regular grids (and across calls) without changing any entry.
     """
     n = len(elements)
     if n < 1:
         raise ValueError("need at least one element")
 
-    cache: dict = {}
-
     def evaluate(p, q, label):
         try:
-            key = (p.half_length, q.half_length, *_pair_offsets(p, q))
-            if key not in cache:
-                cache[key] = _impedance(p, q, constants, quad)[0]
+            return mutual_impedance(p, q, constants, quad)
         except ComputationError as exc:
             raise annotate(exc, label) from exc
-        return cache[key]
 
     z_self = np.empty(n, dtype=complex)
     for i, elem in enumerate(elements):

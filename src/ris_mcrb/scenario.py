@@ -175,15 +175,21 @@ def build_ris_grid(n1: int, n2: int, spacing: float, center) -> RisGrid:
 class NoiseModel:
     """Receiver thermal noise: PSD in dBm/Hz, noise figure in dB, and the
     effective noise bandwidth in Hz. ``sigma2`` is the resulting complex
-    noise variance in watts."""
+    noise variance in watts, which must be positive and finite (so a
+    non-positive bandwidth is rejected too)."""
 
     psd_dbm_hz: float
     noise_figure_db: float
     bandwidth_hz: float
 
     def __post_init__(self):
-        if not self.bandwidth_hz > 0.0:
-            raise ValueError("noise bandwidth must be positive")
+        try:
+            sigma2 = self.sigma2
+        except OverflowError:
+            sigma2 = math.inf
+        if not 0.0 < sigma2 < math.inf:
+            raise ValueError(
+                f"noise variance must be positive and finite, got {sigma2!r} W")
 
     @property
     def sigma2(self) -> float:
@@ -325,7 +331,8 @@ def scenario_from_config(mapping: dict | None) -> Scenario:
         noise = NoiseModel(cfg["noise_psd_dbm_hz"], cfg["noise_figure_db"],
                            cfg["noise_bandwidth_hz"])
     except ValueError as exc:
-        raise ConfigError(f"noise_bandwidth_hz: {exc}") from exc
+        raise ConfigError(
+            f"noise_psd_dbm_hz/noise_figure_db/noise_bandwidth_hz: {exc}") from exc
 
     seed = cfg["seed"]
     if not 0 <= seed < 2 ** 64:

@@ -4,6 +4,7 @@ import io
 import numpy as np
 import pytest
 
+from ris_mcrb import experiments
 from ris_mcrb.bounds import bias_trace, crlb, lower_bound
 from ris_mcrb.channel import model_pair, sample_loads
 from ris_mcrb.cli import main
@@ -125,6 +126,17 @@ class TestLbVsPower:
                                power_grid=[0.0], spacing_grid=[0.5], trials=1)
         with pytest.raises(ValueError, match="kind"):
             run_lb_vs_power(request)
+
+    def test_unusable_power_fails_before_any_build(self, small_scenario,
+                                                   monkeypatch):
+        built = []
+        monkeypatch.setattr(experiments, "_build_point",
+                            lambda *args: built.append(args))
+        request = SweepRequest(kind="lb_vs_power", scenario=small_scenario,
+                               power_grid=[0.0, 4000.0], spacing_grid=[0.5])
+        with pytest.raises(ValueError, match="4000"):
+            run_lb_vs_power(request)
+        assert built == []
 
     def test_saturation_pattern_across_spacings(self):
         # tight spacing: the bound flattens onto the coupling floor just
@@ -365,8 +377,18 @@ class TestCli:
         (["impedance-sweep", "--distances-over-lambda", "inf"], None),
         (["impedance-sweep", "--distances-over-lambda", "0.5"],
          "tx_position_m: [.inf, 0, 0]\n"),
+        (["lb-vs-power", "--powers-dbm", "0", "--spacings-over-lambda", "0.5"],
+         CONFIG + "noise_psd_dbm_hz: 4000\n"),
+        (["lb-vs-power", "--powers-dbm", "0", "--spacings-over-lambda", "0.5"],
+         CONFIG + "noise_figure_db: 4000\n"),
+        (["lb-vs-power", "--powers-dbm", "0", "--spacings-over-lambda", "0.5"],
+         CONFIG + "noise_psd_dbm_hz: -4000\n"),
+        (["lb-vs-power", "--powers-dbm", "0", "--spacings-over-lambda", "0.5"],
+         CONFIG + "noise_bandwidth_hz: 1.0e-320\n"),
     ], ids=["power-overflow", "power-nan", "crlb-power-overflow", "crlb-power-inf",
-            "mc-power-inf", "spacing-inf", "distance-inf", "config-inf"])
+            "mc-power-inf", "spacing-inf", "distance-inf", "config-inf",
+            "noise-psd-overflow", "noise-figure-overflow", "noise-psd-underflow",
+            "noise-bandwidth-underflow"])
     def test_out_of_range_values_exit_code(self, tmp_path, capsys, argv, config):
         cfg = self.write_config(tmp_path, config)
         assert main(argv + ["--config", cfg]) == 2
@@ -401,3 +423,15 @@ class TestCli:
         assert rows[0] == ["re_0", "im_0", "re_1", "im_1", "re_2", "im_2", "re_3", "im_3"]
         assert len(rows) == 1 + 16  # header + one row per transmission
         float(rows[1][0])  # parseable
+
+    def test_dump_model_keeps_close_spacings_apart(self, tmp_path):
+        # spacings equal to 6 significant digits still get their own files
+        cfg = self.write_config(tmp_path)
+        dump_dir = tmp_path / "models"
+        assert main(["lb-vs-power", "--config", cfg, "--powers-dbm", "0",
+                     "--spacings-over-lambda", "0.1234567,0.1234568",
+                     "--dump-model", str(dump_dir),
+                     "--out", str(tmp_path / "lb.csv")]) == 0
+        files = sorted(p.name for p in dump_dir.iterdir())
+        assert files == ["b_est_d0.1234567_2x2.csv", "b_est_d0.1234568_2x2.csv",
+                         "b_true_d0.1234567_2x2.csv", "b_true_d0.1234568_2x2.csv"]

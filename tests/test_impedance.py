@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ris_mcrb import impedance
 from ris_mcrb.errors import (
     DegenerateGeometryError,
     QuadratureConvergenceError,
@@ -14,7 +15,8 @@ from ris_mcrb.impedance import (
     impedance_matrix,
     mutual_impedance,
 )
-from ris_mcrb.scenario import Radiator, derive_constants
+from ris_mcrb.experiments import SweepRequest, csv_text, run_bias_vs_spacing
+from ris_mcrb.scenario import Radiator, derive_constants, scenario_from_config
 
 C28 = derive_constants(28e9)
 LAM = C28.wavelength
@@ -264,3 +266,69 @@ class TestQuadratureSpec:
     def test_rejects_bad_spec(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureSpec(**kwargs)
+
+
+@pytest.fixture
+def integrations(monkeypatch):
+    """Empty the pair memo and record every quadrature run from here on."""
+    calls = []
+    integrate = impedance._integrate
+
+    def counting(*args):
+        calls.append(args)
+        return integrate(*args)
+
+    impedance._pair_impedance.cache_clear()
+    monkeypatch.setattr(impedance, "_integrate", counting)
+    return calls
+
+
+class TestPairMemo:
+    def test_repeated_build_runs_no_quadrature(self, integrations):
+        elems = [element(x=i * 0.3 * LAM, y=j * 0.3 * LAM)
+                 for i in range(3) for j in range(3)]
+        tx, rx = element(x=1.0, z=2.0), element(x=-1.0, z=1.0)
+        first = build_impedance_set(tx, rx, elems, C28)
+        cold = len(integrations)
+        second = build_impedance_set(tx, rx, elems, C28)
+        assert cold > 0
+        assert len(integrations) == cold
+        for name in ("z_st", "z_rs", "z_ss_self", "z_ss_mutual"):
+            assert np.array_equal(getattr(first, name), getattr(second, name))
+
+    def test_mirror_symmetric_antenna_shares_quadratures(self, integrations):
+        d = 0.3 * LAM
+        elems = [element(x=(i - 1.5) * d, y=(j - 1.5) * d)
+                 for i in range(4) for j in range(4)]
+        antenna = element(y=0.5, z=1.0)  # on the grid's x = 0 mirror line
+        vec = coupling_vector(antenna, elems, C28)
+        # element (i, j) and its mirror image (3 - i, j) share one geometry
+        assert len(integrations) == 8
+        for n, elem in enumerate(elems):
+            impedance._pair_impedance.cache_clear()
+            assert vec[n] == mutual_impedance(elem, antenna, C28)
+
+    def test_sweep_csv_independent_of_memo_state(self, integrations):
+        sc = scenario_from_config({"ris_n1": 2, "ris_n2": 2,
+                                   "num_transmissions": 16})
+
+        def bias_csv(spacings, sizes):
+            request = SweepRequest(kind="bias_vs_spacing", scenario=sc,
+                                   spacing_grid=spacings, sizes=sizes)
+            return csv_text(run_bias_vs_spacing(request))
+
+        cold = bias_csv([0.1, 0.5], [(2, 2)])
+        cold_count = len(integrations)
+        impedance._pair_impedance.cache_clear()
+        # a different sweep that shares the 0.1 lambda pair geometries
+        bias_csv([0.05, 0.1], [(2, 2), (3, 3)])
+        warmed_at = len(integrations)
+        assert bias_csv([0.1, 0.5], [(2, 2)]) == cold
+        assert len(integrations) - warmed_at < cold_count
+
+    def test_failures_raise_on_every_call(self, integrations):
+        elems = [element(h=LAM / 2.0), element(x=0.5 * LAM, h=LAM / 2.0)]
+        for _ in range(2):
+            with pytest.raises(ResonanceError, match="element 0 self term"):
+                impedance_matrix(elems, C28)
+        assert len(integrations) == 2

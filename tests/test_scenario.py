@@ -208,3 +208,15 @@ class TestNoiseModel:
     def test_rejects_nonpositive_bandwidth(self):
         with pytest.raises(ValueError):
             NoiseModel(-173.855, 10.0, 0.0)
+
+    @pytest.mark.parametrize("key,value", [
+        ("noise_psd_dbm_hz", 4000.0),     # 10 ** 397 overflows
+        ("noise_figure_db", 4000.0),
+        ("noise_psd_dbm_hz", -4000.0),    # underflows to sigma2 == 0
+        ("noise_bandwidth_hz", 1.0e-320),
+    ], ids=["psd-overflow", "figure-overflow", "psd-underflow",
+            "bandwidth-underflow"])
+    def test_out_of_range_variance_is_config_error(self, key, value):
+        with pytest.raises(ConfigError, match="noise_psd_dbm_hz/noise_figure_db/"
+                                              "noise_bandwidth_hz: noise variance"):
+            scenario_from_config({key: value})
