@@ -5,12 +5,15 @@ point, and returns a SweepResult whose rows are ordered by the sweep
 grids. Every grid point is built by ``_build_point``, which returns
 ``model_pair``'s ``(d_true, d_est, x_true)`` at the default quadrature (the
 runners take no quadrature option). The spacing runners share one
-(spacing x size) loop; the power runners build each spacing once, at the
-scenario's size, and compose every row from ``lower_bound`` and ``crlb``.
-The RIS load sequence always comes from the dedicated load substream of
-the master seed, so every spacing and size sees the same draw order;
-noise streams are keyed by the transmit-power value, so dropping a grid
-point never changes the remaining rows.
+(spacing x size) loop; the power runners build and factor each spacing
+once, at the scenario's size, as a ``bounds.FactoredPair``, and compose
+every row from it (``FactoredPair.report`` divides its traces by the row's
+2 gamma). The RIS load sequence always comes from the dedicated load
+substream of the master seed, so every spacing and size sees the same
+draw order. Noise streams are keyed by the transmit-power value; each
+power's trials draw their noise once (``bounds.mc_rmse_pairs``) and every
+spacing at that power sees the same draws, so dropping a grid point
+never changes the remaining rows.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .bounds import BoundReport, bias_trace, crlb, lower_bound, mc_rmse
+from .bounds import BoundReport, FactoredPair, bias_trace, crlb, mc_rmse_pairs, snr
 from .channel import model_pair, noise_seed, sample_loads
 from .errors import ComputationError, annotate
 from .impedance import build_impedance_set, mutual_impedance
@@ -95,41 +98,36 @@ def _build_point(scenario: Scenario, d_over_lambda: float, n1: int, n2: int):
 
 def _power_sweep(request: SweepRequest, model_sink) -> SweepResult:
     scenario = request.scenario
-    sigma2 = scenario.noise.sigma2
     started = time.perf_counter()
     # convert first, so an unusable power fails before any model is built
-    powers_w = [dbm_to_watts(p_dbm) for p_dbm in request.power_grid]
+    powers = []
+    for p_dbm in request.power_grid:
+        p_t = dbm_to_watts(p_dbm)
+        powers.append((p_dbm, p_t, snr(p_t, scenario.noise.sigma2)))
 
     n1, n2 = scenario.ris.n1, scenario.ris.n2
-    per_spacing = []
+    pairs = []
     for d in request.spacing_grid:
         try:
             d_true, d_est, x_true = _build_point(scenario, d, n1, n2)
+            if request.matched:
+                d_est = d_true
+            if model_sink is not None:
+                model_sink(d, n1, n2, d_true, d_est)
+            pairs.append(FactoredPair(d_est, d_true, x_true))
         except ComputationError as exc:
             raise annotate(exc, f"spacing {d} lambda") from exc
-        if request.matched:
-            d_est = d_true
-        per_spacing.append((d_true, d_est, x_true))
-        if model_sink is not None:
-            model_sink(d, n1, n2, d_true, d_est)
 
     rows = []
-    for p_dbm, p_t in zip(request.power_grid, powers_w):
-        gamma = p_t / sigma2
-        for d, (d_true, d_est, x_true) in zip(request.spacing_grid, per_spacing):
-            try:
-                report = replace(
-                    lower_bound(d_est, d_true, x_true, gamma, p_t=p_t),
-                    crlb=crlb(d_true, gamma))
-                if request.trials > 0:
-                    report = replace(report, rmse=mc_rmse(
-                        scenario, d_est, d_true, x_true, p_t,
-                        request.trials, noise_seed(scenario.rng_seed, p_dbm),
-                        noiseless=request.noiseless))
-            except ComputationError as exc:
-                raise annotate(
-                    exc, f"power {p_dbm} dBm, spacing {d} lambda") from exc
-            rows.append(({"p_t_dbm": p_dbm, "d_over_lambda": d}, report))
+    for p_dbm, p_t, gamma in powers:
+        reports = [pair.report(p_t, gamma) for pair in pairs]
+        if request.trials > 0:
+            rmses = mc_rmse_pairs(scenario, pairs, p_t, request.trials,
+                                  noise_seed(scenario.rng_seed, p_dbm),
+                                  noiseless=request.noiseless)
+            reports = [replace(rep, rmse=rmse) for rep, rmse in zip(reports, rmses)]
+        rows += [({"p_t_dbm": p_dbm, "d_over_lambda": d}, rep)
+                 for d, rep in zip(request.spacing_grid, reports)]
     return SweepResult(kind=request.kind, rows=rows,
                        metadata=_metadata(scenario, started))
 
@@ -185,7 +183,7 @@ def run_crlb_vs_spacing(request: SweepRequest) -> SweepResult:
     if len(request.power_grid) != 1:
         raise ValueError("crlb_vs_spacing uses exactly one transmit power")
     p_t = dbm_to_watts(request.power_grid[0])
-    gamma = p_t / request.scenario.noise.sigma2
+    gamma = snr(p_t, request.scenario.noise.sigma2)
 
     def evaluate(d_true, d_est, x_true):
         return BoundReport(p_t=p_t, gamma=gamma, tr_mcrb=None, tr_bias=None,

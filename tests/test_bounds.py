@@ -3,8 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 
+from ris_mcrb import bounds
 from ris_mcrb.bounds import (
     bias_trace,
     crlb,
@@ -125,6 +127,22 @@ class TestMcrbTrace:
         with pytest.raises(ValueError):
             mcrb_trace(d_est, 0.0)
 
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_rejects_non_finite_gamma(self, model_factory, gamma):
+        # an infinite SNR would report a zero covariance floor
+        d_est, d_true, x = model_factory(seed=11)
+        with pytest.raises(ValueError, match="finite"):
+            mcrb_trace(d_est, gamma)
+        with pytest.raises(ValueError, match="finite"):
+            lower_bound(d_est, d_true, x, gamma)
+        with pytest.raises(ValueError, match="finite"):
+            bounds.FactoredPair(d_est, d_true, x).report(1.0, gamma)
+
+    def test_snr_overflow_rejected(self):
+        assert bounds.snr(2.0, 0.5) == 4.0
+        with pytest.raises(ValueError, match="finite"):
+            bounds.snr(1e-3, 4e-320)
+
 
 class TestBiasTrace:
     def test_matched_model_exactly_zero(self, model_factory):
@@ -204,6 +222,26 @@ class TestCrlb:
         assert inverse_gram_trace(d_true) == pytest.approx(want, rel=1e-9)
 
 
+class TestLsqFactor:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_solve_is_solve_triangular_bit_for_bit(self, model_factory,
+                                                  monkeypatch, order):
+        real_qr = bounds.qr
+
+        def qr_in_order(*args, **kwargs):
+            q, r = real_qr(*args, **kwargs)
+            return q, np.asarray(r, order=order)
+
+        monkeypatch.setattr(bounds, "qr", qr_in_order)
+        d_est, _, _ = model_factory(seed=27, g=20, n=5)
+        factor = bounds._LsqFactor(d_est)
+        assert factor.r.flags[f"{order}_CONTIGUOUS"]
+        rng = np.random.default_rng(27)
+        for rhs in (rng.standard_normal(40), rng.standard_normal((40, 3))):
+            want = solve_triangular(factor.r, factor.q.T @ rhs, check_finite=False)
+            assert np.array_equal(factor.solve(rhs), want)
+
+
 @pytest.fixture(scope="module")
 def scenario():
     return scenario_from_config({})
@@ -247,6 +285,35 @@ class TestMcRmse:
         d_est, d_true, x = model_factory(seed=26)
         with pytest.raises(ValueError):
             mc_rmse(scenario, d_est, d_true, x, 1.0, 0, 0)
+
+    @pytest.mark.parametrize("noiseless", [False, True])
+    def test_pairs_equal_separate_calls(self, scenario, model_factory, noiseless):
+        # shared noise draws must not couple the pairs' results
+        models = [model_factory(seed=s) for s in (30, 31, 32)]
+        models[1] = (models[1][1],) + models[1][1:]  # a matched pair
+        pairs = [bounds.FactoredPair(*m) for m in models]
+        seq = np.random.SeedSequence(3, spawn_key=(1, 5))
+        got = bounds.mc_rmse_pairs(scenario, pairs, 2.0, 7, seq,
+                                   noiseless=noiseless)
+        want = [mc_rmse(scenario, *m, 2.0, 7, seq, noiseless=noiseless)
+                for m in models]
+        assert got == want
+
+    def test_noiseless_builds_no_streams(self, scenario, model_factory, monkeypatch):
+        made = []
+        real = bounds.trial_generators
+
+        def counting(seq, trials):
+            for rng in real(seq, trials):
+                made.append(rng)
+                yield rng
+
+        monkeypatch.setattr(bounds, "trial_generators", counting)
+        d_est, d_true, x = model_factory(seed=34)
+        mc_rmse(scenario, d_est, d_true, x, 1.0, 4, 0, noiseless=True)
+        assert made == []
+        mc_rmse(scenario, d_est, d_true, x, 1.0, 4, 0)
+        assert len(made) == 4
 
     def test_tracks_bound_across_power_grid(self, point_002):
         # the least-squares estimator attains the mismatched bound, so the

@@ -4,9 +4,9 @@ import io
 import numpy as np
 import pytest
 
-from ris_mcrb import experiments
-from ris_mcrb.bounds import bias_trace, crlb, lower_bound
-from ris_mcrb.channel import model_pair, sample_loads
+from ris_mcrb import bounds, experiments
+from ris_mcrb.bounds import bias_trace, crlb, lower_bound, mc_rmse
+from ris_mcrb.channel import model_pair, noise_seed, sample_loads
 from ris_mcrb.cli import main
 from ris_mcrb.errors import ComputationError
 from ris_mcrb.experiments import (
@@ -237,6 +237,97 @@ class TestMcRmseSweep:
         assert report.rmse is not None
 
 
+def build_pair(scenario, d):
+    sc = scenario.with_overrides(ris_spacing_over_lambda=d)
+    imp = build_impedance_set(sc.tx, sc.rx, sc.ris_radiators(), sc.constants)
+    return model_pair(imp, sample_loads(sc))
+
+
+def power_request(scenario, runner, **kwargs):
+    kind = "mc_rmse" if runner is run_mc_rmse else "lb_vs_power"
+    return SweepRequest(kind=kind, scenario=scenario, **kwargs)
+
+
+def counting_wrapper(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records one entry per call,
+    or per item for a generator function; return the record list."""
+    real = getattr(module, name)
+    record = []
+    if name == "trial_generators":
+        def wrapper(*args, **kwargs):
+            for item in real(*args, **kwargs):
+                record.append(item)
+                yield item
+    else:
+        def wrapper(*args, **kwargs):
+            record.append(args)
+            return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+    return record
+
+
+class TestPowerSweepSharing:
+    """Each spacing is factored once and each power's noise drawn once,
+    without changing a bit of any row."""
+
+    SPACINGS = [0.05, 0.2, 0.5]
+    POWERS = [0.0, 20.0, 40.0, 60.0]
+
+    @pytest.mark.parametrize("runner", [run_mc_rmse, run_lb_vs_power])
+    @pytest.mark.parametrize("matched", [False, True])
+    def test_rmse_equals_separate_mc_rmse(self, small_scenario, runner, matched):
+        request = power_request(small_scenario, runner, power_grid=[0.0, 40.0],
+                                spacing_grid=self.SPACINGS, trials=6,
+                                matched=matched)
+        rows = runner(request).rows
+        models = {d: build_pair(small_scenario, d) for d in self.SPACINGS}
+        for variables, report in rows:
+            d_true, d_est, x_true = models[variables["d_over_lambda"]]
+            p_dbm = variables["p_t_dbm"]
+            want = mc_rmse(small_scenario, d_true if matched else d_est, d_true,
+                           x_true, dbm_to_watts(p_dbm), 6,
+                           noise_seed(small_scenario.rng_seed, p_dbm))
+            assert report.rmse == want
+
+    @pytest.mark.parametrize("matched", [False, True])
+    def test_dropping_a_spacing_keeps_other_rows(self, small_scenario, matched):
+        def lines(spacings):
+            request = power_request(small_scenario, run_mc_rmse,
+                                    power_grid=[0.0, 40.0],
+                                    spacing_grid=spacings, trials=5,
+                                    matched=matched)
+            return csv_text(run_mc_rmse(request)).splitlines()
+
+        full = lines(self.SPACINGS)
+        kept = lines([self.SPACINGS[0], self.SPACINGS[2]])
+        assert kept == [line for line in full if ",0.2," not in line]
+        assert len(kept) == 1 + 2 * 2
+
+    @pytest.mark.parametrize("matched", [False, True])
+    def test_one_factorization_per_spacing(self, small_scenario, monkeypatch,
+                                           matched):
+        qrs = counting_wrapper(monkeypatch, bounds, "qr")
+        streams = counting_wrapper(monkeypatch, bounds, "trial_generators")
+        request = power_request(small_scenario, run_mc_rmse,
+                                power_grid=self.POWERS,
+                                spacing_grid=self.SPACINGS, trials=3,
+                                matched=matched)
+        assert len(run_mc_rmse(request).rows) == 12
+        assert len(qrs) <= (1 if matched else 2) * len(self.SPACINGS)
+        assert len(streams) == 3 * len(self.POWERS)
+
+    def test_noiseless_builds_no_streams(self, small_scenario, monkeypatch):
+        streams = counting_wrapper(monkeypatch, bounds, "trial_generators")
+        request = power_request(small_scenario, run_mc_rmse, power_grid=[30.0],
+                                spacing_grid=[0.1, 0.5], trials=3,
+                                noiseless=True)
+        rows = run_mc_rmse(request).rows
+        assert streams == []
+        # the rmse the sweep printed before noiseless trials skipped their
+        # streams; the 0.5-lambda value is roundoff-sized, so only 0.1
+        assert rows[0][1].rmse == 1.4247475973629437e-06
+
+
 class TestImpedanceSweep:
     def test_rows_and_columns(self, small_scenario):
         result = run_impedance_sweep(small_scenario, [0.1, 0.5])
@@ -385,10 +476,20 @@ class TestCli:
          CONFIG + "noise_psd_dbm_hz: -4000\n"),
         (["lb-vs-power", "--powers-dbm", "0", "--spacings-over-lambda", "0.5"],
          CONFIG + "noise_bandwidth_hz: 1.0e-320\n"),
+        # a subnormal noise variance: P_T / sigma2 overflows to inf
+        (["lb-vs-power", "--powers-dbm", "0", "--spacings-over-lambda", "0.5"],
+         CONFIG + "noise_bandwidth_hz: 1.0e-300\n"),
+        (["mc-rmse", "--powers-dbm", "0", "--trials", "1",
+          "--spacings-over-lambda", "0.5"],
+         CONFIG + "noise_bandwidth_hz: 1.0e-300\n"),
+        (["crlb-vs-spacing", "--power-dbm", "0", "--sizes", "2x2",
+          "--spacings-over-lambda", "0.5"],
+         CONFIG + "noise_bandwidth_hz: 1.0e-300\n"),
     ], ids=["power-overflow", "power-nan", "crlb-power-overflow", "crlb-power-inf",
             "mc-power-inf", "spacing-inf", "distance-inf", "config-inf",
             "noise-psd-overflow", "noise-figure-overflow", "noise-psd-underflow",
-            "noise-bandwidth-underflow"])
+            "noise-bandwidth-underflow", "lb-snr-overflow", "mc-snr-overflow",
+            "crlb-snr-overflow"])
     def test_out_of_range_values_exit_code(self, tmp_path, capsys, argv, config):
         cfg = self.write_config(tmp_path, config)
         assert main(argv + ["--config", cfg]) == 2
