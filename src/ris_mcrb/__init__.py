@@ -23,7 +23,6 @@ from .channel import (
     RisLoadSequence,
     build_B,
     complexify_vec,
-    e2e_channel,
     model_pair,
     realify,
     realify_vec,

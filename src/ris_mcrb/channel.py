@@ -140,22 +140,6 @@ def _factor(getrf, gecon, z: np.ndarray, anorm: float, context: str):
     return lu, piv
 
 
-def e2e_channel(z_rs, z_ss_total, z_ris_g, z_st) -> complex:
-    """Scalar end-to-end channel for one RIS configuration.
-
-    ``z_ris_g`` holds the N diagonal load values. The (N x N) system is
-    solved via LU, never inverted.
-    """
-    z_rs = np.asarray(z_rs, dtype=complex)
-    z = np.array(z_ss_total, dtype=complex, order="F")
-    diag = np.arange(z.shape[0])
-    z[diag, diag] += np.asarray(z_ris_g, dtype=complex)
-    getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (z,))
-    lu, piv = _factor(getrf, gecon, z, np.linalg.norm(z, 1), "end-to-end channel")
-    x, _ = getrs(lu, piv, np.asarray(z_st, dtype=complex))
-    return complex(z_rs @ x)
-
-
 def build_B(z_rs, z_ss_self, z_ss_mutual, load_seq) -> np.ndarray:
     """Stack the per-configuration row vectors into the G x N model matrix.
 

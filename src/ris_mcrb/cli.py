@@ -2,11 +2,19 @@
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical failure
 (singular systems, non-convergent quadrature), 4 I/O failure.
+
+Each ``main`` call runs every loaded OpenBLAS runtime single-threaded and
+restores the runtimes' thread counts when it returns. The BLAS calls of a
+sweep are small, so worker pools only contend for cores, and a threaded
+reduction may sum in another order: pinned, the CSV bytes do not depend on
+the host's core count or on ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import os
 import re
 import sys
@@ -208,25 +216,78 @@ def _run(args):
     raise ValueError(f"unknown command {args.command!r}")
 
 
+# (prefix, suffix) of the thread-count functions, in lookup order: upstream
+# OpenBLAS, and the LP64 and ILP64 builds that scipy and numpy wheels ship
+_OPENBLAS_NAMES = (("openblas_", ""), ("scipy_openblas_", ""),
+                   ("scipy_openblas_", "64_"))
+
+
+def _openblas_thread_controls():
+    """``(get, set)`` thread-count functions of each loaded OpenBLAS runtime.
+
+    The runtimes are the shared objects named like OpenBLAS in
+    ``/proc/self/maps``; where that file cannot be read, there are none.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8",
+                  errors="surrogateescape") as fh:
+            # the pathname, where a line has one, is its sixth field
+            mapped = {line.split(maxsplit=5)[-1].rstrip("\n") for line in fh}
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(p for p in mapped if "openblas" in os.path.basename(p).lower()):
+        try:
+            # NOLOAD: only ever attach to an object that is already mapped
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOW | os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for prefix, suffix in _OPENBLAS_NAMES:
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                controls.append((get, set_))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Set every loaded OpenBLAS runtime to one thread, then restore each
+    runtime's previous count."""
+    controls = _openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    try:
+        for _, set_ in controls:
+            set_(1)
+        yield
+    finally:
+        for (_, set_), count in zip(controls, saved):
+            set_(count)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_fold_negative_lists(argv))
-    try:
-        result = _run(args)
-        if args.out:
-            emit_csv(result, args.out)
-        else:
-            sys.stdout.write(csv_text(result))
-    except (ConfigError, ValueError) as exc:
-        print(f"ris-mcrb: config error: {exc}", file=sys.stderr)
-        return 2
-    except ComputationError as exc:
-        print(f"ris-mcrb: numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"ris-mcrb: I/O error: {exc}", file=sys.stderr)
-        return 4
-    return 0
+    with _single_threaded_blas():
+        args = build_parser().parse_args(_fold_negative_lists(argv))
+        try:
+            result = _run(args)
+            if args.out:
+                emit_csv(result, args.out)
+            else:
+                sys.stdout.write(csv_text(result))
+        except (ConfigError, ValueError) as exc:
+            print(f"ris-mcrb: config error: {exc}", file=sys.stderr)
+            return 2
+        except ComputationError as exc:
+            print(f"ris-mcrb: numerical failure: {exc}", file=sys.stderr)
+            return 3
+        except OSError as exc:
+            print(f"ris-mcrb: I/O error: {exc}", file=sys.stderr)
+            return 4
+        return 0
 
 
 if __name__ == "__main__":

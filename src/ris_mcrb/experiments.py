@@ -46,7 +46,7 @@ DEFAULT_CRLB_POWER_DBM = 40.0
 @dataclass(frozen=True)
 class SweepRequest:
     """One experiment family instance; grids must be finite and strictly
-    increasing."""
+    increasing, and sizes must not repeat."""
 
     kind: str
     scenario: Scenario
@@ -73,6 +73,8 @@ class SweepRequest:
             raise ValueError("spacing_grid must not be empty")
         if self.kind in ("bias_vs_spacing", "crlb_vs_spacing") and not self.sizes:
             raise ValueError("sizes must not be empty")
+        if len({tuple(s) for s in self.sizes}) != len(self.sizes):
+            raise ValueError("sizes must not repeat")
         if self.kind == "mc_rmse" and self.trials < 1:
             raise ValueError("mc_rmse sweeps need trials >= 1")
         if self.trials < 0:

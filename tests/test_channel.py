@@ -13,7 +13,6 @@ from ris_mcrb.channel import (
     RisLoadSequence,
     build_B,
     complexify_vec,
-    e2e_channel,
     model_pair,
     realify,
     realify_vec,
@@ -79,6 +78,14 @@ class TestSampleLoads:
         assert np.all(sample_loads(sc).loads.imag > 0.0)
 
 
+def e2e_channel(z_rs, z_ss_total, z_ris_g, z_st) -> complex:
+    """Scalar end-to-end channel ``z_rs^T (Z_ss + diag(z_ris_g))^{-1} z_st``
+    for one configuration, through numpy's dense solve: an oracle that
+    shares no code with ``build_B``."""
+    z = np.asarray(z_ss_total, dtype=complex) + np.diag(z_ris_g)
+    return complex(np.asarray(z_rs) @ np.linalg.solve(z, z_st))
+
+
 class TestE2EChannel:
     def test_scalar_closed_form(self):
         z_rs, z_st = np.array([2.0 + 1j]), np.array([3.0 - 2j])
@@ -102,12 +109,6 @@ class TestE2EChannel:
         want = z_rs @ np.linalg.inv(z_ss + np.diag(z_ris)) @ z_st
         got = e2e_channel(z_rs, z_ss, z_ris, z_st)
         assert got == pytest.approx(want, rel=1e-10)
-
-    def test_singular_system_reports_condition(self):
-        z_ss = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-        with pytest.raises(SingularModelError) as exc_info:
-            e2e_channel(np.ones(2), z_ss, np.zeros(2), np.ones(2))
-        assert exc_info.value.rcond is not None
 
 
 class TestBuildB:
@@ -145,6 +146,13 @@ class TestBuildB:
             z = np.diag(z_self) + z_mut + np.diag(loads[row])
             want = z_rs @ np.linalg.inv(z)
             assert np.allclose(b[row], want, rtol=1e-10)
+
+    def test_singular_system_reports_condition(self):
+        z_self = np.ones(2, dtype=complex)
+        z_mut = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        with pytest.raises(SingularModelError) as exc_info:
+            build_B(np.ones(2, dtype=complex), z_self, z_mut, np.zeros((1, 2)))
+        assert exc_info.value.rcond is not None
 
     def test_singular_row_reports_index(self):
         z_rs = np.ones(2, dtype=complex)

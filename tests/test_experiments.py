@@ -1,10 +1,12 @@
 import csv
+import ctypes
 import io
+import os
 
 import numpy as np
 import pytest
 
-from ris_mcrb import bounds, experiments
+from ris_mcrb import bounds, cli, experiments, impedance
 from ris_mcrb.bounds import bias_trace, crlb, lower_bound, mc_rmse
 from ris_mcrb.channel import model_pair, noise_seed, sample_loads
 from ris_mcrb.cli import main
@@ -34,6 +36,41 @@ def rows_by_key(result, *keys):
     return {tuple(v[k] for k in keys): rep for v, rep in result.rows}
 
 
+def openblas_runtimes():
+    """``(get, set)`` thread-count functions of every OpenBLAS runtime mapped
+    into this process, looked up without the CLI's own code."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh
+                     if "openblas" in line.rsplit("/", 1)[-1].lower()}
+    except OSError:
+        return []
+    runtimes = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for name in ("openblas_{}_num_threads", "scipy_openblas_{}_num_threads",
+                     "scipy_openblas_{}_num_threads64_"):
+            get = getattr(lib, name.format("get"), None)
+            set_ = getattr(lib, name.format("set"), None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                runtimes.append((get, set_))
+                break
+    return runtimes
+
+
+@pytest.fixture
+def blas_runtimes():
+    runtimes = openblas_runtimes()
+    if not runtimes:
+        pytest.skip("no OpenBLAS runtime is loaded")
+    saved = [get() for get, _ in runtimes]
+    yield runtimes
+    for (_, set_), count in zip(runtimes, saved):
+        set_(count)
+
+
 class TestSweepRequest:
     def test_rejects_unknown_kind(self, small_scenario):
         with pytest.raises(ValueError, match="kind"):
@@ -51,6 +88,11 @@ class TestSweepRequest:
         with pytest.raises(ValueError, match="spacing_grid"):
             SweepRequest(kind="bias_vs_spacing", scenario=small_scenario,
                          sizes=[(2, 2)])
+
+    def test_rejects_repeated_sizes(self, small_scenario):
+        with pytest.raises(ValueError, match="sizes must not repeat"):
+            SweepRequest(kind="bias_vs_spacing", scenario=small_scenario,
+                         spacing_grid=[0.5], sizes=[(2, 2), (3, 3), (2, 2)])
 
     def test_mc_rmse_needs_trials(self, small_scenario):
         with pytest.raises(ValueError, match="trials"):
@@ -485,15 +527,64 @@ class TestCli:
         (["crlb-vs-spacing", "--power-dbm", "0", "--sizes", "2x2",
           "--spacings-over-lambda", "0.5"],
          CONFIG + "noise_bandwidth_hz: 1.0e-300\n"),
+        (["bias-vs-spacing", "--spacings-over-lambda", "0.5", "--sizes", "2x2,2x2"],
+         None),
     ], ids=["power-overflow", "power-nan", "crlb-power-overflow", "crlb-power-inf",
             "mc-power-inf", "spacing-inf", "distance-inf", "config-inf",
             "noise-psd-overflow", "noise-figure-overflow", "noise-psd-underflow",
             "noise-bandwidth-underflow", "lb-snr-overflow", "mc-snr-overflow",
-            "crlb-snr-overflow"])
+            "crlb-snr-overflow", "repeated-size"])
     def test_out_of_range_values_exit_code(self, tmp_path, capsys, argv, config):
         cfg = self.write_config(tmp_path, config)
         assert main(argv + ["--config", cfg]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bias-vs-spacing", "--sizes", "4x4", "--spacings-over-lambda", "0.02,0.5"],
+        ["lb-vs-power", "--spacings-over-lambda", "0.02,0.5", "--powers-dbm", "0,40"],
+    ], ids=["bias-vs-spacing", "lb-vs-power"])
+    def test_csv_bytes_independent_of_blas_threads(self, tmp_path, blas_runtimes, argv):
+        outputs = []
+        for threads in (1, 2):
+            for _, set_ in blas_runtimes:
+                set_(threads)
+            # recompute every impedance under this thread count
+            impedance._pair_impedance.cache_clear()
+            out = tmp_path / f"threads{threads}.csv"
+            assert main(argv + ["--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_blas_single_threaded_inside_main(self, monkeypatch, blas_runtimes):
+        seen = []
+        run = cli._run
+
+        def spy(args):
+            seen.append([get() for get, _ in blas_runtimes])
+            return run(args)
+
+        monkeypatch.setattr(cli, "_run", spy)
+        for _, set_ in blas_runtimes:
+            set_(2)
+        assert main(["impedance-sweep", "--distances-over-lambda", "0.5",
+                     "--out", os.devnull]) == 0
+        assert seen == [[1] * len(blas_runtimes)]
+
+    @pytest.mark.parametrize("argv,config,code", [
+        (["impedance-sweep", "--distances-over-lambda", "0.5"], CONFIG, 0),
+        (["lb-vs-power"], "num_transmissions: 2\n", 2),
+        (["impedance-sweep", "--distances-over-lambda", "2.0"],
+         "half_length_over_lambda: 0.5\n", 3),
+    ], ids=["exit-0", "exit-2", "exit-3"])
+    def test_main_restores_blas_threads(self, tmp_path, capsys, blas_runtimes,
+                                        argv, config, code):
+        cfg = self.write_config(tmp_path, config)
+        # 3 differs from the single-threaded pin and from a 2-core default
+        for _, set_ in blas_runtimes:
+            set_(3)
+        assert main(argv + ["--config", cfg, "--out", os.devnull]) == code
+        assert [get() for get, _ in blas_runtimes] == [3] * len(blas_runtimes)
+        capsys.readouterr()
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # half-wavelength dipoles put the current normalization at resonance
