@@ -9,8 +9,10 @@ gamma)`` that vanishes with SNR, plus the SNR-independent squared offset
 ``||x - x0||^2``. With matched models the offset is zero and the floor is
 the classical matched bound.
 
-Everything routes through one economy QR factorization of the estimation
-matrix; explicit inverses appear only in the test suite as oracles. A
+D is the real block form of a complex G x N model B, and x stacks [Re; Im]
+of a complex z. Entry points take either form and compute on B and z
+through one complex economy QR of B, with ``Tr((D^T D)^{-1}) = 2
+||R^{-1}||_F^2``; explicit inverses appear only in the test suite as oracles. A
 reciprocal condition estimate of the triangular factor below
 ``channel.RCOND_FLOOR`` (the floor the impedance solves use as well)
 raises DegenerateDesignError, since traces computed past that point would
@@ -32,15 +34,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs, qr
 
-from .channel import RCOND_FLOOR, as_model_matrix, trial_generators
+from .channel import RCOND_FLOOR, _complex_form, complexify_vec, realify_vec, trial_generators
 from .errors import DegenerateDesignError
 from .scenario import Scenario
 
 
 class _LsqFactor:
-    """Economy QR of a stacked model matrix with a condition guard.
+    """Economy QR of a complex model matrix with a condition guard.
 
-    LAPACK ``trtrs`` and ``q.T`` are fetched once, so a solve is one
+    LAPACK ``trtrs`` and ``q^H`` are fetched once, so a solve is one
     matrix-vector product and one ``trtrs`` call: the call
     ``scipy.linalg.solve_triangular`` makes for the memory layout of R
     (``qr`` returns it C-ordered, which is solved as the lower system
@@ -48,13 +50,8 @@ class _LsqFactor:
     """
 
     def __init__(self, d, context="model matrix"):
-        d = as_model_matrix(d)
-        if d.shape[0] < d.shape[1]:
-            raise DegenerateDesignError(
-                f"{context}: {d.shape[0]} rows cannot identify {d.shape[1]} unknowns"
-            )
-        self.d = d
-        self.q, self.r = qr(d, mode="economic", check_finite=False)
+        self.b = _complex_form(d)
+        self.q, self.r = qr(self.b, mode="economic", check_finite=False)
         trcon = get_lapack_funcs("trcon", (self.r,))
         rcond, info = trcon(self.r)
         if info != 0 or not np.isfinite(rcond) or rcond < RCOND_FLOOR:
@@ -64,7 +61,7 @@ class _LsqFactor:
                 rcond=float(rcond),
             )
         self.rcond = float(rcond)
-        self._qt = self.q.T
+        self._qh = self.q.conj().T
         self._trtrs = get_lapack_funcs("trtrs", (self.r,))
         # trtrs expects Fortran order; a C-ordered R is passed transposed
         if self.r.flags.f_contiguous:
@@ -83,26 +80,25 @@ class _LsqFactor:
 
     def solve(self, rhs):
         """Least-squares solution argmin ||d @ x - rhs||."""
-        return self._solve_r(self._qt @ rhs)
+        return self._solve_r(self._qh @ rhs)
 
     def project(self, d_true, x_true) -> np.ndarray:
-        """Least-squares projection of d_true @ x_true onto the columns of
-        the factored matrix; exactly x_true when the models match."""
-        d_true = as_model_matrix(d_true)
-        x = np.asarray(x_true, dtype=float)
-        if self.d is d_true or np.array_equal(self.d, d_true):
-            return x.copy()
-        return self.solve(d_true @ x)
+        """Complex least-squares projection of d_true @ x_true onto the
+        columns of the factored matrix; exactly x_true when models match."""
+        b_true, z = _complex_form(d_true), _complex_form(x_true)
+        if self.b is b_true or np.array_equal(self.b, b_true):
+            return z.copy()
+        return self.solve(b_true @ z)
 
     def bias_trace(self, d_true, x_true) -> float:
         """Squared distance between x_true and its projection."""
-        diff = np.asarray(x_true, dtype=float) - self.project(d_true, x_true)
-        return float(diff @ diff)
+        diff = _complex_form(x_true) - self.project(d_true, x_true)
+        return float(np.vdot(diff, diff).real)
 
     def inverse_gram_trace(self) -> float:
-        """Tr((d^T d)^{-1}) via the triangular factor."""
+        """Tr((D^T D)^{-1}) = 2 ||R^{-1}||_F^2 via the triangular factor."""
         r_inv = self._solve_r(np.eye(self.r.shape[0]))
-        return float(np.sum(r_inv * r_inv))
+        return 2.0 * float(np.vdot(r_inv, r_inv).real)
 
 
 def inverse_gram_trace(d) -> float:
@@ -112,18 +108,22 @@ def inverse_gram_trace(d) -> float:
 
 def ml_estimate(d_est, r, p_t: float) -> np.ndarray:
     """Maximum-likelihood channel estimate under the estimation model:
-    the least-squares fit of r/sqrt(P_T) against D_est."""
+    the least-squares fit of r/sqrt(P_T) against D_est, in the form ``r``
+    was given."""
     if not p_t > 0.0:
         raise ValueError("transmit power must be positive")
     factor = _LsqFactor(d_est, "estimation model")
-    return factor.solve(np.asarray(r, dtype=float)) / math.sqrt(p_t)
+    z = factor.solve(_complex_form(r)) / math.sqrt(p_t)
+    return z if np.iscomplexobj(r) else realify_vec(z)
 
 
 def pseudo_true(d_est, d_true, x_true) -> np.ndarray:
     """Parameter of the estimation model closest (in expected
     log-likelihood) to the true data distribution: the least-squares
-    projection of D_true x onto the column space of D_est."""
-    return _LsqFactor(d_est, "estimation model").project(d_true, x_true)
+    projection of D_true x onto the column space of D_est, in the form
+    ``x_true`` was given."""
+    z0 = _LsqFactor(d_est, "estimation model").project(d_true, x_true)
+    return z0 if np.iscomplexobj(x_true) else realify_vec(z0)
 
 
 def _check_snr(gamma: float) -> float:
@@ -216,12 +216,12 @@ class FactoredPair:
     def __init__(self, d_est, d_true, x_true):
         est = _LsqFactor(d_est, "estimation model")
         true = est if d_true is d_est else _LsqFactor(d_true)
-        x = np.asarray(x_true, dtype=float)
+        z = _complex_form(x_true)
         self.inverse_gram_est = est.inverse_gram_trace()
         self.inverse_gram_true = (self.inverse_gram_est if true is est
                                   else true.inverse_gram_trace())
-        self.tr_bias = est.bias_trace(d_true, x)
-        self._trial_model = (est, true.d @ x, x)
+        self.tr_bias = est.bias_trace(true.b, z)
+        self._trial_model = (est, true.b @ z, z)
 
     def report(self, p_t: float, gamma: float) -> BoundReport:
         """Mismatched bound parts and the matched bound at one SNR."""
@@ -236,7 +236,7 @@ class FactoredPair:
 
 
 def _mc_rmse(scenario, models, p_t, trials, noise_seed, noiseless) -> list[float]:
-    """Monte-Carlo RMSE of each ``(estimation factor, D_true x, x)`` model,
+    """Monte-Carlo RMSE of each ``(estimation factor, B_true z, z)`` model,
     trials outside and models inside, so each trial's noise is drawn once
     and added to every model's mean. Each model keeps its own running
     total in trial order, so its result does not depend on the others."""
@@ -253,16 +253,17 @@ def _mc_rmse(scenario, models, p_t, trials, noise_seed, noiseless) -> list[float
         noises = itertools.repeat(None, trials)
     else:
         sigma = math.sqrt(scenario.noise.sigma2 / 2.0)
-        size = means[0].shape[0]
-        noises = (sigma * rng.standard_normal(size)
+        size = 2 * means[0].shape[0]
+        # one draw per trial in the stacked [Re; Im] order of the real form
+        noises = (complexify_vec(sigma * rng.standard_normal(size))
                   for rng in trial_generators(noise_seed, trials))
 
     totals = [0.0] * len(models)
     for noise in noises:
-        for k, ((factor, _, x), mean) in enumerate(zip(models, means)):
+        for k, ((factor, _, z), mean) in enumerate(zip(models, means)):
             r = mean if noise is None else mean + noise
-            err = factor.solve(r) / sqrt_pt - x
-            totals[k] += float(err @ err)
+            err = factor.solve(r) / sqrt_pt - z
+            totals[k] += float(np.vdot(err, err).real)
     return [math.sqrt(total / trials) for total in totals]
 
 
@@ -286,8 +287,8 @@ def mc_rmse(
     draw nothing and build no streams. This is the one-pair case of
     ``mc_rmse_pairs``, with the same bits.
     """
-    x = np.asarray(x_true, dtype=float)
-    model = (_LsqFactor(d_est, "estimation model"), as_model_matrix(d_true) @ x, x)
+    z = _complex_form(x_true)
+    model = (_LsqFactor(d_est, "estimation model"), _complex_form(d_true) @ z, z)
     (rmse,) = _mc_rmse(scenario, [model], p_t, trials, noise_seed, noiseless)
     return rmse
 

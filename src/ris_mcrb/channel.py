@@ -3,9 +3,9 @@
 The scalar channel for one RIS configuration is
 ``z_rs^T (Z_ss + diag(loads_g))^{-1} z_st``. Stacking the row vectors
 ``z_rs^T (Z_ss + diag(loads_g))^{-1}`` over G configurations gives the
-complex model matrix B; mapping it to the real block form
-``[[Re B, -Im B], [Im B, Re B]]`` turns complex least squares into an
-ordinary real linear-Gaussian problem. Building B with the off-diagonal
+complex model matrix B, on which every bound is computed; its real block
+form ``[[Re B, -Im B], [Im B, Re B]]`` presents the same problem as an
+ordinary real linear-Gaussian one. Building B with the off-diagonal
 part of the scatter matrix zeroed out yields the coupling-unaware model
 used as the (mis)estimation model.
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .errors import SingularModelError
+from .errors import DegenerateDesignError, SingularModelError
 from .impedance import ImpedanceSet
 from .scenario import Scenario
 
@@ -196,15 +196,14 @@ def build_B(z_rs, z_ss_self, z_ss_mutual, load_seq) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RealifiedModel:
-    """Real 2G x 2N block form of a complex G x N model matrix. ``matrix``
-    is a read-only view sharing memory with the caller's array."""
+    """Real 2G x 2N block form of a complex G x N model matrix."""
 
     matrix: np.ndarray
     includes_mutual_coupling: bool
 
     def __post_init__(self):
-        # freeze a view so the caller's own array stays writeable
-        d = np.asarray(self.matrix, dtype=float).view()
+        # freeze a copy so later writes to the caller's array cannot reach it
+        d = np.array(self.matrix, dtype=float)
         if d.ndim != 2 or d.shape[0] % 2 or d.shape[1] % 2:
             raise ValueError("realified matrix must be 2G x 2N")
         g, n = d.shape[0] // 2, d.shape[1] // 2
@@ -259,13 +258,24 @@ def as_model_matrix(d) -> np.ndarray:
     return d.matrix if isinstance(d, RealifiedModel) else np.asarray(d, dtype=float)
 
 
-def model_pair(impedances: ImpedanceSet, load_seq) -> tuple[RealifiedModel, RealifiedModel, np.ndarray]:
-    """Build the coupling-aware and coupling-unaware realified models plus
-    the realified true channel vector for one impedance set."""
+def _complex_form(a) -> np.ndarray:
+    """Complex form of a model matrix or vector: a complex array as it is, a
+    real vector as stacked [Re; Im], a RealifiedModel or real matrix through
+    RealifiedModel's layout check, made after the rows-versus-unknowns one."""
+    d = a.matrix if isinstance(a, RealifiedModel) else np.asarray(a)
+    if d.ndim == 2 and d.shape[0] < d.shape[1]:
+        raise DegenerateDesignError(f"{d.shape[0]} rows cannot identify {d.shape[1]} unknowns")
+    if np.iscomplexobj(d):
+        return d
+    if d.ndim == 1:
+        return complexify_vec(d)
+    return RealifiedModel(d, includes_mutual_coupling=False).complex_model
+
+
+def model_pair(impedances: ImpedanceSet, load_seq) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Build the coupling-aware and coupling-unaware G x N model matrices
+    plus the true channel vector ``z_st`` for one impedance set."""
     b_true = build_B(impedances.z_rs, impedances.z_ss_self,
                      impedances.z_ss_mutual, load_seq)
     b_est = build_B(impedances.z_rs, impedances.z_ss_self, None, load_seq)
-    d_true = realify(b_true, includes_mutual_coupling=True)
-    d_est = realify(b_est, includes_mutual_coupling=False)
-    return d_true, d_est, realify_vec(impedances.z_st)
-
+    return b_true, b_est, impedances.z_st

@@ -169,10 +169,8 @@ def _model_sink(directory):
     def sink(d_over_lambda, n1, n2, d_true, d_est):
         # round-trip exact, like the CSV, so distinct spacings never collide
         tag = f"d{float(d_over_lambda)!r}_{n1}x{n2}"
-        dump_model_csv(d_true.complex_model,
-                       os.path.join(directory, f"b_true_{tag}.csv"))
-        dump_model_csv(d_est.complex_model,
-                       os.path.join(directory, f"b_est_{tag}.csv"))
+        dump_model_csv(d_true, os.path.join(directory, f"b_true_{tag}.csv"))
+        dump_model_csv(d_est, os.path.join(directory, f"b_est_{tag}.csv"))
 
     return sink
 

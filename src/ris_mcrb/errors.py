@@ -47,7 +47,7 @@ class SingularModelError(ComputationError):
 
 
 class DegenerateDesignError(ComputationError):
-    """The stacked real model matrix is rank deficient, so least-squares
+    """The model matrix is rank deficient, so least-squares
     quantities and bound traces would be numerical noise."""
 
     def __init__(self, message, rcond=None):

@@ -3,9 +3,9 @@
 Each runner takes a SweepRequest, evaluates one bound report per grid
 point, and returns a SweepResult whose rows are ordered by the sweep
 grids. Every grid point is built by ``_build_point``, which returns
-``model_pair``'s ``(d_true, d_est, x_true)`` at the default quadrature (the
-runners take no quadrature option). The spacing runners share one
-(spacing x size) loop; the power runners build and factor each spacing
+``model_pair``'s complex ``(d_true, d_est, x_true)`` at the default
+quadrature (the runners take no quadrature option). The spacing runners
+share one (spacing x size) loop; the power runners build and factor each spacing
 once, at the scenario's size, as a ``bounds.FactoredPair``, and compose
 every row from it (``FactoredPair.report`` divides its traces by the row's
 2 gamma). The RIS load sequence always comes from the dedicated load
@@ -199,8 +199,8 @@ def run_impedance_sweep(scenario: Scenario,
     """Mutual impedance of two side-by-side elements versus separation."""
     if not distances_over_lambda:
         raise ValueError("distance grid must not be empty")
-    if not all(math.isfinite(d) for d in distances_over_lambda):
-        raise ValueError("distance grid values must be finite")
+    if not all(0.0 < d < math.inf for d in distances_over_lambda):
+        raise ValueError("distance grid values must be positive and finite")
     if any(b <= a for a, b in zip(distances_over_lambda, distances_over_lambda[1:])):
         raise ValueError("distance grid must be strictly increasing")
     started = time.perf_counter()

@@ -310,8 +310,8 @@ def scenario_from_config(mapping: dict | None) -> Scenario:
     if g < grid.num_elements:
         raise ConfigError(
             f"num_transmissions: {g} transmissions cannot identify "
-            f"{grid.num_elements} complex channel entries (the stacked "
-            "real model matrix would be rank deficient)"
+            f"{grid.num_elements} complex channel entries (the model "
+            "matrix would be rank deficient)"
         )
 
     tx = Radiator(np.asarray(cfg["tx_position_m"]), h, r)

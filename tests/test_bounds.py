@@ -17,9 +17,11 @@ from ris_mcrb.bounds import (
     ml_estimate,
     pseudo_true,
 )
-from ris_mcrb.channel import as_model_matrix, realify
+from ris_mcrb.channel import as_model_matrix, realify, realify_vec, trial_generators
 from ris_mcrb.errors import DegenerateDesignError
 from ris_mcrb.scenario import NoiseModel, scenario_from_config
+
+from conftest import crandn
 
 
 def iterative_pseudo_true(d_est, d_true, x_true):
@@ -237,8 +239,9 @@ class TestLsqFactor:
         factor = bounds._LsqFactor(d_est)
         assert factor.r.flags[f"{order}_CONTIGUOUS"]
         rng = np.random.default_rng(27)
-        for rhs in (rng.standard_normal(40), rng.standard_normal((40, 3))):
-            want = solve_triangular(factor.r, factor.q.T @ rhs, check_finite=False)
+        for rhs in (crandn(rng, 20), crandn(rng, (20, 3))):
+            want = solve_triangular(factor.r, factor.q.conj().T @ rhs,
+                                    check_finite=False)
             assert np.array_equal(factor.solve(rhs), want)
 
 
@@ -315,6 +318,22 @@ class TestMcRmse:
         mc_rmse(scenario, d_est, d_true, x, 1.0, 4, 0)
         assert len(made) == 4
 
+    def test_noise_layout_oracle(self, scenario, model_factory):
+        # real-form reference: each trial's 2G standard normal draws are the
+        # stacked [Re; Im] noise of the real block model
+        d_est, d_true, x = model_factory(seed=35)
+        a, b = as_model_matrix(d_est), as_model_matrix(d_true)
+        p_t = scenario.noise.sigma2  # gamma = 1: the noise dominates
+        sigma = math.sqrt(scenario.noise.sigma2 / 2.0)
+        seq = np.random.SeedSequence(11, spawn_key=(1, 7))
+        total = 0.0
+        for rng in trial_generators(seq, 20):
+            r = math.sqrt(p_t) * (b @ x) + sigma * rng.standard_normal(a.shape[0])
+            err = np.linalg.lstsq(a, r, rcond=None)[0] / math.sqrt(p_t) - x
+            total += float(err @ err)
+        got = mc_rmse(scenario, d_est, d_true, x, p_t, 20, seq)
+        assert got == pytest.approx(math.sqrt(total / 20), rel=1e-12)
+
     def test_tracks_bound_across_power_grid(self, point_002):
         # the least-squares estimator attains the mismatched bound, so the
         # Monte-Carlo RMSE must stay within statistical tolerance of it
@@ -331,3 +350,39 @@ class TestMcRmse:
                           point_002.x_true, p_t, 500,
                           noise_seed(sc.rng_seed, float(p_dbm)))
             assert abs(got - bound) <= 0.10 * bound
+
+
+class TestFormIndependence:
+    """A complex model, its RealifiedModel and its raw 2G x 2N matrix give
+    equal results; vectors come back in the form they were given."""
+
+    def test_every_entry_point_agrees(self, scenario):
+        rng = np.random.default_rng(40)
+        b_true = crandn(rng, (12, 3))
+        b_est = b_true + 0.3 * crandn(rng, (12, 3))
+        z, r = crandn(rng, 3), crandn(rng, 12)
+        d_true = realify(b_true, includes_mutual_coupling=True)
+        d_est = realify(b_est, includes_mutual_coupling=False)
+        forms = [(b_est, b_true, z),
+                 (d_est, d_true, realify_vec(z)),
+                 (as_model_matrix(d_est), as_model_matrix(d_true), realify_vec(z))]
+        p_t = scenario.noise.sigma2
+
+        def results(d_est, d_true, x):
+            seq = np.random.SeedSequence(5, spawn_key=(1, 2))
+            pair = bounds.FactoredPair(d_est, d_true, x)
+            return [lower_bound(d_est, d_true, x, 2.0),
+                    bias_trace(d_est, d_true, x),
+                    mcrb_trace(d_est, 2.0),
+                    crlb(d_true, 2.0),
+                    mc_rmse(scenario, d_est, d_true, x, p_t, 5, seq),
+                    pair.report(p_t, 2.0),
+                    bounds.mc_rmse_pairs(scenario, [pair], p_t, 5, seq)]
+
+        want = results(*forms[0])
+        x0 = realify_vec(pseudo_true(b_est, b_true, z))
+        estimate = realify_vec(ml_estimate(b_est, r, 2.0))
+        for d_est, d_true, x in forms[1:]:
+            assert results(d_est, d_true, x) == want
+            assert np.array_equal(pseudo_true(d_est, d_true, x), x0)
+            assert np.array_equal(ml_estimate(d_est, realify_vec(r), 2.0), estimate)

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from ris_mcrb import bounds, cli, experiments, impedance
+from ris_mcrb import bounds, channel, cli, experiments, impedance
 from ris_mcrb.bounds import bias_trace, crlb, lower_bound, mc_rmse
 from ris_mcrb.channel import model_pair, noise_seed, sample_loads
 from ris_mcrb.cli import main
@@ -529,11 +529,14 @@ class TestCli:
          CONFIG + "noise_bandwidth_hz: 1.0e-300\n"),
         (["bias-vs-spacing", "--spacings-over-lambda", "0.5", "--sizes", "2x2,2x2"],
          None),
+        (["impedance-sweep", "--distances-over-lambda", "-0.5,0.5"], None),
+        (["impedance-sweep", "--distances-over-lambda", "0"], None),
     ], ids=["power-overflow", "power-nan", "crlb-power-overflow", "crlb-power-inf",
             "mc-power-inf", "spacing-inf", "distance-inf", "config-inf",
             "noise-psd-overflow", "noise-figure-overflow", "noise-psd-underflow",
             "noise-bandwidth-underflow", "lb-snr-overflow", "mc-snr-overflow",
-            "crlb-snr-overflow", "repeated-size"])
+            "crlb-snr-overflow", "repeated-size", "impedance-negative",
+            "impedance-zero"])
     def test_out_of_range_values_exit_code(self, tmp_path, capsys, argv, config):
         cfg = self.write_config(tmp_path, config)
         assert main(argv + ["--config", cfg]) == 2
@@ -600,6 +603,26 @@ class TestCli:
                      "--distances-over-lambda", "0.5",
                      "--out", str(missing)]) == 4
         assert "I/O error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["impedance-sweep", "--distances-over-lambda", "0.5"],
+        ["lb-vs-power", "--powers-dbm", "0", "--spacings-over-lambda", "0.5",
+         "--dump-model", "models"],
+        ["bias-vs-spacing", "--spacings-over-lambda", "0.5", "--sizes", "2x2"],
+        ["crlb-vs-spacing", "--spacings-over-lambda", "0.5", "--sizes", "2x2"],
+        ["mc-rmse", "--powers-dbm", "0", "--spacings-over-lambda", "0.5",
+         "--trials", "2", "--dump-model", "models"],
+    ], ids=lambda argv: argv[0])
+    def test_subcommands_never_build_the_real_form(self, tmp_path, monkeypatch,
+                                                   argv):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("the real block form was built")
+
+        monkeypatch.setattr(channel, "realify", refuse)
+        monkeypatch.setattr(channel.RealifiedModel, "__post_init__", refuse)
+        monkeypatch.chdir(tmp_path)
+        cfg = self.write_config(tmp_path)
+        assert main(argv + ["--config", cfg, "--out", os.devnull]) == 0
 
     def test_dump_model_writes_parseable_matrices(self, tmp_path):
         cfg = self.write_config(tmp_path)
