@@ -11,10 +11,13 @@ used as the (mis)estimation model.
 
 The coupling-unaware system is diagonal, so its rows are the closed form
 ``z_rs / (z_ss_self + loads_g)``; its singularity guard is the exact 1-norm
-reciprocal condition number of a diagonal matrix, ``min|d| / max|d|``. The
-dense coupling-aware systems go through an LAPACK LU factorization with a
-1-norm reciprocal condition estimate. Both guards reject a configuration
-below ``RCOND_FLOOR``; nothing in production paths forms an explicit inverse.
+reciprocal condition number of a diagonal matrix, ``min|d| / max|d|``. A
+coupling-aware system ``D_g + M`` (diagonal plus mutual part) is solved by
+the iteration ``y <- (z_rs - y M) / D_g`` when its contraction bound proves
+it well conditioned, for a chunk of configurations per matrix product, and
+otherwise through an LAPACK LU factorization with a 1-norm reciprocal
+condition estimate. Every guard rejects a configuration below
+``RCOND_FLOOR``; nothing in production paths forms an explicit inverse.
 RNG streams are derived from a master seed with fixed spawn keys so that
 load sampling and noise generation never share or reorder draws.
 """
@@ -39,6 +42,15 @@ _KEY_OFFSET = 2 ** 31
 
 # Reciprocal condition estimate below which a system is treated as singular.
 RCOND_FLOOR = 1e-13
+
+# Coupling-aware rows whose contraction bound is below this limit are
+# iterated instead of LU-factored, JACOBI_CHUNK rows at a time; a row still
+# short of the stopping rule after JACOBI_MAX_SWEEPS sweeps is LU-factored.
+CONTRACTION_LIMIT = 0.6
+JACOBI_CHUNK = 32
+JACOBI_MAX_SWEEPS = 100
+# Relative accuracy the iteration's error bound must reach (2^-52).
+_STOP_REL = float(np.finfo(float).eps)
 
 
 def substream(master_seed: int, *path: int) -> np.random.Generator:
@@ -140,19 +152,77 @@ def _factor(getrf, gecon, z: np.ndarray, anorm: float, context: str):
     return lu, piv
 
 
+def _weighted_norms2(y: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Row-wise squared norms ``sum_j |y_gj|^2 weight_gj``."""
+    v = y.view(float).reshape(*y.shape, 2)
+    return np.einsum("ijk,ijk,ij->i", v, v, weight)
+
+
+def _contraction(mag: np.ndarray, coupling: np.ndarray):
+    """Contraction bound ``q_g = ||D_g^{-1/2} M D_g^{-1/2}||_F`` of each row
+    of ``mag = |d|``, given ``coupling = |M|^2``, and the mask of rows that
+    may iterate: ``q_g < CONTRACTION_LIMIT`` and a guaranteed 1-norm
+    reciprocal condition number ``rcond(D_g) (1 - q_g) / ((1 + q_g) N)`` of
+    ``D_g + M`` that reaches ``RCOND_FLOOR``. A zero, infinite or NaN
+    diagonal entry makes the row's bound NaN or its rcond zero, so it never
+    iterates."""
+    n = mag.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / mag
+        q = np.sqrt(np.einsum("ij,ij->i", inv @ coupling, inv))
+        guaranteed = mag.min(axis=1) / mag.max(axis=1) * (1.0 - q) / ((1.0 + q) * n)
+    return q, (q < CONTRACTION_LIMIT) & (guaranteed >= RCOND_FLOOR)
+
+
+def _jacobi_rows(z_rs, mutual, d, q):
+    """Rows ``z_rs^T (diag(d_g) + mutual)^{-1}`` for every row ``d_g`` of ``d``
+    at once, by the iteration ``y <- (z_rs - y @ mutual) / d`` from the
+    coupling-unaware row ``z_rs / d``.
+
+    ``q`` bounds each row's contraction factor in the norm ``||y |D|^{1/2}||_2``,
+    so a row whose last change satisfies ``q/(1-q) ||dy |D|^{1/2}|| <= 2^-52
+    ||y |D|^{1/2}||`` is within that distance of its solution. The sweeps stop
+    when every row satisfies it, or after ``JACOBI_MAX_SWEEPS``; returns the
+    iterates and the mask of rows that satisfied it on the last sweep.
+    """
+    weight = np.abs(d)
+    q2, tol2 = np.square(q), np.square(_STOP_REL * (1.0 - q))
+    y = z_rs / d
+    nxt = np.empty_like(y)
+    for _ in range(JACOBI_MAX_SWEEPS):
+        np.matmul(y, mutual, out=nxt)
+        np.subtract(z_rs, nxt, out=nxt)
+        np.divide(nxt, d, out=nxt)
+        np.subtract(nxt, y, out=y)  # y now holds the change of this sweep
+        done = q2 * _weighted_norms2(y, weight) <= tol2 * _weighted_norms2(nxt, weight)
+        y, nxt = nxt, y
+        if done.all():
+            break
+    return y, done
+
+
 def build_B(z_rs, z_ss_self, z_ss_mutual, load_seq) -> np.ndarray:
     """Stack the per-configuration row vectors into the G x N model matrix.
 
-    Row g is ``z_rs^T (diag(z_ss_self) + z_ss_mutual + diag(loads_g))^{-1}``.
-    Passing ``None`` for ``z_ss_mutual`` produces the coupling-unaware
-    model: the system is diagonal, row g is ``z_rs / (z_ss_self + loads_g)``
-    and its guard is the exact reciprocal condition number
-    ``min|d| / max|d|`` of the diagonal ``d``. Otherwise each system is
-    LU-factored and guarded by its 1-norm reciprocal condition estimate;
-    it is complex-symmetric, so the transposed solve that a row requires
-    coincides with the plain solve of the factored system. Either guard
-    raises ``SingularModelError`` naming the configuration when the value
-    is below ``RCOND_FLOOR`` or not finite.
+    Row g is ``z_rs^T (D_g + M)^{-1}``, where ``D_g = diag(z_ss_self +
+    loads_g)`` (plus any diagonal of ``z_ss_mutual``) and ``M`` is the
+    off-diagonal part of ``z_ss_mutual``. Passing ``None`` for
+    ``z_ss_mutual`` produces the coupling-unaware model: the system is
+    diagonal, row g is ``z_rs / (z_ss_self + loads_g)`` and its guard is the
+    exact reciprocal condition number ``rcond(D_g) = min|d| / max|d|``.
+
+    Otherwise each row is solved on one of two paths. A row whose
+    contraction bound ``q_g = ||D_g^{-1/2} M D_g^{-1/2}||_F`` is below
+    ``CONTRACTION_LIMIT`` and whose guaranteed 1-norm reciprocal condition
+    number ``rcond(D_g) (1 - q_g) / ((1 + q_g) N)`` reaches ``RCOND_FLOOR``
+    is iterated, ``JACOBI_CHUNK`` rows at a time (``_jacobi_rows``). Every
+    other row, and every iterated row that misses the stopping rule within
+    ``JACOBI_MAX_SWEEPS``, is LU-factored and guarded by its 1-norm
+    reciprocal condition estimate; the system is complex-symmetric, so the
+    transposed solve that a row requires coincides with the plain solve of
+    the factored system. Either singularity guard raises
+    ``SingularModelError`` naming the configuration when the value is below
+    ``RCOND_FLOOR`` or not finite.
     """
     z_rs = np.asarray(z_rs, dtype=complex)
     n = z_rs.shape[0]
@@ -171,26 +241,36 @@ def build_B(z_rs, z_ss_self, z_ss_mutual, load_seq) -> np.ndarray:
             raise _singular(f"configuration {g}", rcond[g])
         return np.divide(z_rs, d, out=d)
 
-    base = np.array(z_ss_mutual, dtype=complex, order="F")
+    mutual = np.array(z_ss_mutual, dtype=complex, order="F")
     diag = np.arange(n)
-    base[diag, diag] += np.asarray(z_ss_self, dtype=complex)
-    base_diag = base[diag, diag]
+    base_diag = mutual[diag, diag] + np.asarray(z_ss_self, dtype=complex)
+    mutual[diag, diag] = 0.0
     # 1-norm of a configuration: max over columns of these off-diagonal
     # sums plus the magnitude of the column's diagonal entry
-    off_abs = np.abs(base)
-    off_abs[diag, diag] = 0.0
+    off_abs = np.abs(mutual)
     off_sums = off_abs.sum(axis=0)
-    getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (base,))
+    coupling = np.square(off_abs, out=off_abs)
+    getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (mutual,))
 
     b = np.empty((loads.shape[0], n), dtype=complex)
-    z = np.empty_like(base)
-    for g in range(loads.shape[0]):
-        d = base_diag + loads[g]
-        np.copyto(z, base)
-        z[diag, diag] = d
-        anorm = (off_sums + np.abs(d)).max()
-        lu, piv = _factor(getrf, gecon, z, anorm, f"configuration {g}")
-        b[g], _ = getrs(lu, piv, z_rs)
+    z = np.empty_like(mutual)
+    for start in range(0, loads.shape[0], JACOBI_CHUNK):
+        d = base_diag + loads[start:start + JACOBI_CHUNK]
+        mag = np.abs(d)
+        q, iterate = _contraction(mag, coupling)
+        to_lu = ~iterate
+        if iterate.any():
+            idx = np.flatnonzero(iterate)
+            rows, done = _jacobi_rows(z_rs, mutual, d[idx], q[idx])
+            b[start + idx[done]] = rows[done]
+            to_lu[idx] = ~done
+        for i in np.flatnonzero(to_lu):
+            g = start + int(i)
+            np.copyto(z, mutual)
+            z[diag, diag] = d[i]
+            anorm = (off_sums + mag[i]).max()
+            lu, piv = _factor(getrf, gecon, z, anorm, f"configuration {g}")
+            b[g], _ = getrs(lu, piv, z_rs)
     return b
 
 

@@ -17,8 +17,16 @@ from ris_mcrb.bounds import (
     ml_estimate,
     pseudo_true,
 )
-from ris_mcrb.channel import as_model_matrix, realify, realify_vec, trial_generators
+from ris_mcrb.channel import (
+    as_model_matrix,
+    model_pair,
+    realify,
+    realify_vec,
+    sample_loads,
+    trial_generators,
+)
 from ris_mcrb.errors import DegenerateDesignError
+from ris_mcrb.impedance import build_impedance_set
 from ris_mcrb.scenario import NoiseModel, scenario_from_config
 
 from conftest import crandn
@@ -161,6 +169,29 @@ class TestBiasTrace:
         x0 = pseudo_true(d_est, d_true, x)
         want = float((x - x0) @ (x - x0))
         assert bias_trace(d_est, d_true, x) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("size", [4, 8])
+    @pytest.mark.parametrize("spacing", [0.2, 0.5, 2.5])
+    def test_first_order_coupling_oracle(self, size, spacing):
+        # weak coupling, with plain numpy and no build_B: the first-order
+        # model b_true ~ b_est - (b_est M) / D_g gives the bias within 2%.
+        # Its error is first order in the coupling strength, relative to
+        # the bias; at 0.1 lambda it reaches 5-10% for most seeds
+        sc = scenario_from_config({"ris_n1": size, "ris_n2": size,
+                                   "ris_spacing_over_lambda": spacing})
+        imp = build_impedance_set(sc.tx, sc.rx, sc.ris_radiators(), sc.constants)
+        loads = sample_loads(sc)
+        d = imp.z_ss_self + loads.loads
+        m = imp.z_ss_mutual
+        rho = max(np.linalg.norm(m / np.sqrt(np.outer(np.abs(dg), np.abs(dg))), 2)
+                  for dg in d)
+        assert rho <= 0.15
+        b_est = imp.z_rs / d
+        b_first = b_est - (b_est @ m) / d
+        x0 = np.linalg.lstsq(b_est, b_first @ imp.z_st, rcond=None)[0]
+        want = np.linalg.norm(imp.z_st - x0)
+        b_true, b_est_lib, z = model_pair(imp, loads)
+        assert math.sqrt(bias_trace(b_est_lib, b_true, z)) == pytest.approx(want, rel=0.02)
 
 
 class TestLowerBound:

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
+from ris_mcrb import channel
 from ris_mcrb.channel import (
+    CONTRACTION_LIMIT,
     RCOND_FLOOR,
     RealifiedModel,
     RisLoadSequence,
@@ -195,7 +197,57 @@ def lu_rows(z_rs, z_self, z_mut, loads):
         z[np.arange(n), np.arange(n)] += z_self
         z[np.arange(n), np.arange(n)] += load
         rows.append(lu_solve(lu_factor(z), z_rs))
-    return np.array(rows)
+    return np.array(rows, dtype=complex).reshape(len(loads), n)
+
+
+def iterated_rows(z_self, z_mut, loads):
+    """Rows the contraction bound sends to the iteration, from its
+    definition with dense numpy: ``q_g = ||D_g^{-1/2} M D_g^{-1/2}||_F`` below
+    ``CONTRACTION_LIMIT`` and ``rcond(D_g) (1 - q_g) / ((1 + q_g) N)`` at
+    least ``RCOND_FLOOR``, for a zero-diagonal ``z_mut``."""
+    n = len(z_self)
+    mask = []
+    for load in loads:
+        mag = np.abs(z_self + load)
+        q = np.linalg.norm(np.abs(z_mut) / np.sqrt(np.outer(mag, mag)))
+        rcond = mag.min() / mag.max() * (1.0 - q) / ((1.0 + q) * n)
+        mask.append(bool(q < CONTRACTION_LIMIT and rcond >= RCOND_FLOOR))
+    return np.array(mask)
+
+
+def assert_rows_near_solve(b, z_rs, z_self, z_mut, loads, ulps):
+    """Each row of ``b`` is within ``ulps`` of ``z_rs^T (Z_ss +
+    diag(load))^{-1}`` through numpy's dense solve."""
+    for row, load in enumerate(loads):
+        want = np.linalg.solve((np.diag(z_self + load) + z_mut).T, z_rs)
+        err = np.linalg.norm(b[row] - want)
+        assert err <= ulps * np.finfo(float).eps * np.linalg.norm(want), row
+
+
+def factor_contexts(monkeypatch):
+    """Record the context of every LU factorization build_B runs."""
+    real = channel._factor
+    contexts = []
+
+    def wrapper(getrf, gecon, z, anorm, context):
+        contexts.append(context)
+        return real(getrf, gecon, z, anorm, context)
+
+    monkeypatch.setattr(channel, "_factor", wrapper)
+    return contexts
+
+
+def mixed_system(seed, g, n):
+    """Weak mutual coupling with loads that alternate between rows the
+    contraction bound accepts (large diagonal) and rows it rejects
+    (diagonal near 1 + 1j)."""
+    rng = np.random.default_rng(seed)
+    z_self = crandn(rng, (n,)) + 5.0
+    z_mut = 0.1 * symmetric_system(rng, n, diag_boost=0.0)
+    z_mut[np.arange(n), np.arange(n)] = 0.0
+    loads = crandn(rng, (g, n)) + 20j
+    loads[1::2] = 0.1 * crandn(rng, (g // 2, n)) + (1.0 + 1j) - z_self
+    return crandn(rng, (n,)), z_self, z_mut, loads
 
 
 class TestBuildBPaths:
@@ -250,6 +302,9 @@ class TestBuildBPaths:
 
     @pytest.mark.parametrize("g, n", [(1, 1), (7, 4), (12, 16), (3, 33)])
     def test_aware_rows_bit_identical_to_lu_wrappers(self, g, n):
+        # rows the contraction bound routes to LU are bit-identical to
+        # scipy's wrappers; iterated rows (n = 1, where M = 0) are within a
+        # few ulps of a dense solve
         rng = np.random.default_rng(100 * g + n)
         z_self = crandn(rng, (n,)) + 5.0
         z_mut = symmetric_system(rng, n, diag_boost=0.0)
@@ -257,6 +312,68 @@ class TestBuildBPaths:
         loads = crandn(rng, (g, n)) + 5j
         z_rs = crandn(rng, (n,))
         b = build_B(z_rs, z_self, z_mut, loads)
+        iterated = iterated_rows(z_self, z_mut, loads)
+        lu = ~iterated
+        assert np.array_equal(b[lu], lu_rows(z_rs, z_self, z_mut, loads[lu]))
+        assert_rows_near_solve(b[iterated], z_rs, z_self, z_mut, loads[iterated], 4)
+
+    def test_mixed_rows_match_solve_oracle(self, monkeypatch):
+        # one loads array with rows on both paths, across two row chunks
+        g, n = 2 * channel.JACOBI_CHUNK + 6, 12
+        z_rs, z_self, z_mut, loads = mixed_system(51, g, n)
+        iterated = iterated_rows(z_self, z_mut, loads)
+        assert iterated[::2].all() and not iterated[1::2].any()
+        contexts = factor_contexts(monkeypatch)
+        b = build_B(z_rs, z_self, z_mut, loads)
+        assert contexts == [f"configuration {row}" for row in range(1, g, 2)]
+        assert_rows_near_solve(b, z_rs, z_self, z_mut, loads, 8)
+        lu = ~iterated
+        assert np.array_equal(b[lu], lu_rows(z_rs, z_self, z_mut, loads[lu]))
+
+    def test_ill_conditioned_diagonal_reaches_lu(self, monkeypatch):
+        # a tiny mutual part keeps q far below the limit, but a diagonal
+        # spread of about 4.5e12 leaves the guaranteed rcond (divided by
+        # N = 4) under RCOND_FLOOR, so the row is LU-factored, and its own
+        # estimate (about 2.2e-13) passes
+        n = 4
+        z_self = np.full(n, 1.0 + 1.0j)
+        z_mut = 1e-9 * (np.ones((n, n)) - np.eye(n))
+        loads = np.array([[1j] * n, [1e13j, 1j, 1j, 1j]])
+        iterated = iterated_rows(z_self, z_mut, loads)
+        assert iterated.tolist() == [True, False]
+        assert gecon_rcond(np.diag(z_self + loads[1]) + z_mut) >= RCOND_FLOOR
+        contexts = factor_contexts(monkeypatch)
+        z_rs = np.arange(1.0, n + 1.0) + 0j
+        b = build_B(z_rs, z_self, z_mut, loads)
+        assert contexts == ["configuration 1"]
+        assert np.array_equal(b[1:], lu_rows(z_rs, z_self, z_mut, loads[1:]))
+
+    def test_weak_row_with_singular_diagonal_raises(self):
+        # weakly coupled rows whose diagonal rcond is below RCOND_FLOOR are
+        # not iterated: the LU guard rejects the one that is singular
+        n = 4
+        z_self = np.array([0.0, 1.0 + 1.0j, 1.0 + 1.0j, 1.0 + 1.0j])
+        z_mut = 1e-20 * (np.ones((n, n)) - np.eye(n))
+        z_mut[0, :] = z_mut[:, 0] = 0.0  # element 0 decoupled
+        loads = np.array([[1j] * n, [1j] * n, [1e-17j, 1j, 1j, 1j]])
+        assert iterated_rows(z_self, z_mut, loads).tolist() == [True, True, False]
+        with pytest.raises(SingularModelError, match="configuration 2") as exc_info:
+            build_B(np.ones(n, dtype=complex), z_self, z_mut, loads)
+        assert exc_info.value.rcond < RCOND_FLOOR
+        want = gecon_rcond(np.diag(z_self + loads[2]) + z_mut)
+        assert exc_info.value.rcond == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("sweeps", [1, 2])
+    def test_rows_at_sweep_cap_are_lu_solved(self, monkeypatch, sweeps):
+        g, n = 10, 12
+        z_rs, z_self, z_mut, loads = mixed_system(53, g, n)
+        assert iterated_rows(z_self, z_mut, loads)[::2].all()
+        monkeypatch.setattr(channel, "JACOBI_MAX_SWEEPS", sweeps)
+        contexts = factor_contexts(monkeypatch)
+        b = build_B(z_rs, z_self, z_mut, loads)
+        # no row meets the stopping rule within the cap, so every row,
+        # iterated or not, comes from the LU factorization
+        assert contexts == [f"configuration {row}" for row in range(g)]
         assert np.array_equal(b, lu_rows(z_rs, z_self, z_mut, loads))
 
     def test_aware_scenario_rows_bit_identical_to_lu_wrappers(self, point_002):

@@ -365,9 +365,15 @@ class TestPowerSweepSharing:
                                 noiseless=True)
         rows = run_mc_rmse(request).rows
         assert streams == []
-        # the rmse the sweep printed before noiseless trials skipped their
-        # streams; the 0.5-lambda value is roundoff-sized, so only 0.1
-        assert rows[0][1].rmse == 1.4247475973629437e-06
+        # the row is the separate noiseless mc_rmse on the same built model;
+        # the 0.5-lambda value is roundoff-sized, so only 0.1 is checked
+        d_true, d_est, x_true = build_pair(small_scenario, 0.1)
+        want = mc_rmse(small_scenario, d_est, d_true, x_true, dbm_to_watts(30.0),
+                       3, noise_seed(small_scenario.rng_seed, 30.0), noiseless=True)
+        assert rows[0][1].rmse == want
+        # and the value the sweep printed before noiseless trials skipped
+        # their streams, at the 1e-12 output contract
+        assert want == pytest.approx(1.4247475973629437e-06, rel=1e-12)
 
 
 class TestImpedanceSweep:
