@@ -40,7 +40,6 @@ from .errors import (
 )
 from .impedance import (
     ImpedanceSet,
-    QuadratureSpec,
     build_impedance_set,
     coupling_vector,
     impedance_matrix,

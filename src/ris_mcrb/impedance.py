@@ -5,9 +5,11 @@ integral over both wire axes of an oscillatory near-field kernel weighted
 by the sinusoidal current profile of each dipole. The |xi| and |z| factors
 in the current profile put a derivative kink at the wire centers, so each
 axis is split at 0 into two panels (4 panels in the tensor product) where
-the integrand is smooth. Each panel is integrated with Gauss-Legendre
-nodes; the order doubles on each refinement until two successive
-estimates agree to the requested relative tolerance.
+the integrand is smooth. The rule is fixed: each panel is integrated with
+``BASE_ORDER`` Gauss-Legendre nodes per axis, and the order doubles up to
+``MAX_REFINEMENTS`` times until two successive estimates agree to
+``REL_TOLERANCE`` relative; otherwise ``QuadratureConvergenceError``
+carries the last two estimates.
 
 The self-impedance case evaluates the same kernel with the source point
 displaced to the wire surface (radial offset = wire radius, no axial
@@ -19,9 +21,9 @@ orders converge.
 
 Every self, mutual and coupling impedance goes through one pair
 evaluation, memoized per process within a fixed bound on the exact
-geometry (wavenumber, eta0, half lengths, offsets, quadrature spec): a
-geometry seen before, in this call or an earlier one, reuses its
-quadrature bit for bit. Failures are never memoized; they raise each time.
+geometry (wavenumber, eta0, half lengths, offsets): a geometry seen
+before, in this call or an earlier one, reuses its quadrature bit for
+bit. Failures are never memoized; they raise each time.
 """
 
 from __future__ import annotations
@@ -46,30 +48,17 @@ from .scenario import PhysicalConstants, Radiator
 # dividing by zero (half-wavelength resonance of the profile).
 RESONANCE_TOL = 1e-9
 
+# The quadrature rule: Gauss-Legendre nodes per axis per panel at the first
+# estimate, the relative agreement two successive estimates must reach, and
+# how many times the order may double. The pair memo does not key on
+# them: clear it after changing one.
+BASE_ORDER = 16
+REL_TOLERANCE = 1e-9
+MAX_REFINEMENTS = 6
+
 # Distinct pair geometries the memo keeps; the default spacing sweeps
 # need 2405.
 _PAIR_MEMO_SIZE = 4096
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls the panel quadrature refinement loop; each refinement
-    doubles the order."""
-
-    base_order: int = 16        # Gauss-Legendre nodes per axis per panel
-    rel_tolerance: float = 1e-9
-    max_refinements: int = 6
-
-    def __post_init__(self):
-        if self.base_order < 8:
-            raise ValueError("base_order must be >= 8")
-        if not 1e-14 <= self.rel_tolerance <= 1e-3:
-            raise ValueError("rel_tolerance must lie in [1e-14, 1e-3]")
-        if self.max_refinements < 0:
-            raise ValueError("max_refinements must be >= 0")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 @lru_cache(maxsize=32)
@@ -115,7 +104,7 @@ def _tensor_estimate(k0, hp, hq, rho1, rho2, sin_p, sin_q, order):
     return w_xi @ kernel @ w_z
 
 
-def _integrate(k0, hp, hq, rho1, rho2, quad: QuadratureSpec):
+def _integrate(k0, hp, hq, rho1, rho2):
     sin_p = math.sin(k0 * hp)
     sin_q = math.sin(k0 * hq)
     if abs(sin_p) < RESONANCE_TOL or abs(sin_q) < RESONANCE_TOL:
@@ -124,18 +113,18 @@ def _integrate(k0, hp, hq, rho1, rho2, quad: QuadratureSpec):
             f"normalization is singular (k0*h = {k0 * hp:.6g}, {k0 * hq:.6g})"
         )
 
-    order = quad.base_order
+    order = BASE_ORDER
     previous = latest = _tensor_estimate(k0, hp, hq, rho1, rho2, sin_p, sin_q, order)
-    for _ in range(quad.max_refinements):
+    for _ in range(MAX_REFINEMENTS):
+        previous = latest
         order *= 2
         latest = _tensor_estimate(k0, hp, hq, rho1, rho2, sin_p, sin_q, order)
         err = abs(latest - previous)
-        if err <= quad.rel_tolerance * max(abs(latest), abs(previous)):
+        if err <= REL_TOLERANCE * max(abs(latest), abs(previous)):
             return latest, err, order
-        previous = latest
     raise QuadratureConvergenceError(
         f"impedance quadrature did not converge to rel_tolerance="
-        f"{quad.rel_tolerance:g} within {quad.max_refinements} refinements "
+        f"{REL_TOLERANCE:g} within {MAX_REFINEMENTS} refinements "
         f"(last estimates {previous!r} and {latest!r})",
         previous=previous,
         latest=latest,
@@ -160,10 +149,10 @@ def _pair_offsets(p: Radiator, q: Radiator):
 
 
 @lru_cache(maxsize=_PAIR_MEMO_SIZE)
-def _pair_impedance(k0, eta0, hp, hq, rho1, rho2, quad: QuadratureSpec):
+def _pair_impedance(k0, eta0, hp, hq, rho1, rho2):
     """(impedance in ohm, absolute error estimate, final order) of one pair
     geometry."""
-    value, err, order = _integrate(k0, hp, hq, rho1, rho2, quad)
+    value, err, order = _integrate(k0, hp, hq, rho1, rho2)
     value = value * (1j * eta0 / (4.0 * math.pi * k0))
     err = err * (eta0 / (4.0 * math.pi * k0))
     if not np.isfinite(value):
@@ -171,26 +160,15 @@ def _pair_impedance(k0, eta0, hp, hq, rho1, rho2, quad: QuadratureSpec):
     return value, err, order
 
 
-def mutual_impedance(
-    p: Radiator,
-    q: Radiator,
-    constants: PhysicalConstants,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
-    *,
-    full_output: bool = False,
-):
+def mutual_impedance(p: Radiator, q: Radiator, constants: PhysicalConstants):
     """Impedance (ohm) coupling two parallel thin-wire dipoles.
 
     Passing the same ``Radiator`` object for ``p`` and ``q`` yields the
     self impedance; two distinct radiators at the same position overlap
-    and raise ``DegenerateGeometryError``. With ``full_output`` the
-    absolute error estimate and the final quadrature order are returned
-    as well.
+    and raise ``DegenerateGeometryError``.
     """
-    result = _pair_impedance(constants.wavenumber, constants.eta0,
-                             p.half_length, q.half_length, *_pair_offsets(p, q),
-                             quad)
-    return result if full_output else result[0]
+    return _pair_impedance(constants.wavenumber, constants.eta0,
+                           p.half_length, q.half_length, *_pair_offsets(p, q))[0]
 
 
 @dataclass(frozen=True)
@@ -230,11 +208,7 @@ class ImpedanceSet:
         return np.diag(self.z_ss_self) + self.z_ss_mutual
 
 
-def impedance_matrix(
-    elements: list[Radiator],
-    constants: PhysicalConstants,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
-):
+def impedance_matrix(elements: list[Radiator], constants: PhysicalConstants):
     """Self and mutual impedances among a set of parallel radiators.
 
     Returns ``(z_self, z_mutual)`` with the self impedances as an (N,)
@@ -249,7 +223,7 @@ def impedance_matrix(
 
     def evaluate(p, q, label):
         try:
-            return mutual_impedance(p, q, constants, quad)
+            return mutual_impedance(p, q, constants)
         except ComputationError as exc:
             raise annotate(exc, label) from exc
 
@@ -270,13 +244,12 @@ def coupling_vector(
     antenna: Radiator,
     elements: list[Radiator],
     constants: PhysicalConstants,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> np.ndarray:
     """Mutual impedance of every element toward a single antenna."""
     out = np.empty(len(elements), dtype=complex)
     for i, elem in enumerate(elements):
         try:
-            out[i] = mutual_impedance(elem, antenna, constants, quad)
+            out[i] = mutual_impedance(elem, antenna, constants)
         except ComputationError as exc:
             raise annotate(exc, f"element {i} to antenna") from exc
     return out
@@ -287,13 +260,12 @@ def build_impedance_set(
     rx: Radiator,
     elements: list[Radiator],
     constants: PhysicalConstants,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> ImpedanceSet:
     """Evaluate every impedance the end-to-end channel model needs."""
-    z_self, z_mutual = impedance_matrix(elements, constants, quad)
+    z_self, z_mutual = impedance_matrix(elements, constants)
     return ImpedanceSet(
-        z_st=coupling_vector(tx, elements, constants, quad),
-        z_rs=coupling_vector(rx, elements, constants, quad),
+        z_st=coupling_vector(tx, elements, constants),
+        z_rs=coupling_vector(rx, elements, constants),
         z_ss_self=z_self,
         z_ss_mutual=z_mutual,
     )

@@ -66,8 +66,6 @@ class PhysicalConstants:
     wavelength: float  # m
     wavenumber: float  # rad/m
     eta0: float        # ohm, intrinsic impedance of free space
-    mu0: float = MU_0
-    eps0: float = EPS_0
 
     @property
     def omega(self) -> float:

@@ -595,12 +595,19 @@ class TestCli:
         assert [get() for get, _ in blas_runtimes] == [3] * len(blas_runtimes)
         capsys.readouterr()
 
-    def test_numerical_failure_exit_code(self, tmp_path, capsys):
+    def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         # half-wavelength dipoles put the current normalization at resonance
         cfg = self.write_config(tmp_path, "half_length_over_lambda: 0.5\n")
         assert main(["impedance-sweep", "--config", cfg,
                      "--distances-over-lambda", "2.0"]) == 3
         assert "numerical failure" in capsys.readouterr().err
+        # side-by-side wires 1e-4 lambda apart exhaust the quadrature rule;
+        # fewer refinements reach the same failure sooner
+        impedance._pair_impedance.cache_clear()
+        monkeypatch.setattr(impedance, "MAX_REFINEMENTS", 3)
+        assert main(["impedance-sweep", "--distances-over-lambda", "1e-4"]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "did not converge" in err
 
     def test_io_failure_exit_code(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)

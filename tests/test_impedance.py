@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import integrate
 
 from ris_mcrb import impedance
 from ris_mcrb.errors import (
@@ -9,13 +12,17 @@ from ris_mcrb.errors import (
 )
 from ris_mcrb.impedance import (
     ImpedanceSet,
-    QuadratureSpec,
     build_impedance_set,
     coupling_vector,
     impedance_matrix,
     mutual_impedance,
 )
-from ris_mcrb.experiments import SweepRequest, csv_text, run_bias_vs_spacing
+from ris_mcrb.experiments import (
+    DEFAULT_SPACING_GRID,
+    SweepRequest,
+    csv_text,
+    run_bias_vs_spacing,
+)
 from ris_mcrb.scenario import Radiator, derive_constants, scenario_from_config
 
 C28 = derive_constants(28e9)
@@ -38,6 +45,33 @@ CURVE = {
 
 def element(x=0.0, y=0.0, z=0.0, h=H, r=R):
     return Radiator(np.array([x, y, z]), h, r)
+
+
+def closed_form_impedance(rho):
+    """Side-by-side impedance (ohm) of two of the test dipoles at distance rho.
+
+    Schelkunoff's closed-form near field of a sinusoidal filament
+    (Balanis, Antenna Theory, ch. 8; Carter 1932),
+    E_z = -j eta/(4 pi) [e^{-jkR1}/R1 + e^{-jkR2}/R2 - 2 cos(kh) e^{-jkR0}/R0],
+    integrated once against the other dipole's current sin(k(h - |z|)) by
+    scipy's adaptive quadrature and referred to the terminal currents. It
+    shares no code with the engine.
+    """
+    k, eta, h = C28.wavenumber, C28.eta0, H
+
+    def e_z(z):
+        r0, r1, r2 = math.hypot(rho, z), math.hypot(rho, z - h), math.hypot(rho, z + h)
+        field = (np.exp(-1j * k * r1) / r1 + np.exp(-1j * k * r2) / r2
+                 - 2.0 * math.cos(k * h) * np.exp(-1j * k * r0) / r0)
+        return -1j * eta / (4.0 * math.pi) * field * math.sin(k * (h - abs(z)))
+
+    def over_wire(f):
+        # split at the current profile's kink
+        return sum(integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                   for a, b in ((-h, 0.0), (0.0, h)))
+
+    total = over_wire(lambda z: e_z(z).real) + 1j * over_wire(lambda z: e_z(z).imag)
+    return -total / math.sin(k * h) ** 2
 
 
 class TestMutualImpedance:
@@ -66,32 +100,38 @@ class TestMutualImpedance:
         z2 = mutual_impedance(p2, q2, C28)
         assert abs(z1 - z2) <= 1e-12 * abs(z1)
 
-    def test_refinement_oracle(self):
-        # doubling the base order must agree within the requested tolerance
-        p, q = element(), element(x=0.05 * LAM)
-        tol = 1e-9
-        coarse = mutual_impedance(p, q, C28, QuadratureSpec(base_order=16, rel_tolerance=tol))
-        fine = mutual_impedance(p, q, C28, QuadratureSpec(base_order=32, rel_tolerance=tol))
-        assert abs(coarse - fine) <= 2.0 * tol * abs(fine)
+    def test_closed_form_field_oracle(self):
+        # every spacing of the default grid, and the self term, which is the
+        # same kernel at a radial offset of one wire radius
+        e = element()
+        cases = [(d * LAM, element(x=d * LAM)) for d in DEFAULT_SPACING_GRID]
+        for rho, other in cases + [(R, e)]:
+            want = closed_form_impedance(rho)
+            assert abs(mutual_impedance(e, other, C28) - want) <= 1e-12 * abs(want)
 
     def test_error_estimate_bounds_refinement_change(self):
-        p, q = element(), element(x=0.02 * LAM)
-        value, err, order = mutual_impedance(p, q, C28, full_output=True)
-        finer = mutual_impedance(
-            p, q, C28, QuadratureSpec(base_order=2 * order, rel_tolerance=1e-12))
-        assert abs(value - finer) <= max(err, 1e-9 * abs(value))
+        # at 0.002 lambda the rule needs three refinements, so the estimate
+        # measures quadrature error rather than rounding
+        rho = 0.002 * LAM
+        value, err, _ = impedance._pair_impedance(
+            C28.wavenumber, C28.eta0, H, H, rho, 0.0)
+        assert abs(value - closed_form_impedance(rho)) <= err
 
     def test_monotone_decay(self):
         mags = [abs(mutual_impedance(element(), element(x=d * LAM), C28))
                 for d in (0.05, 0.1, 0.2, 0.5, 1.0, 2.5)]
         assert all(a > b for a, b in zip(mags, mags[1:]))
 
-    def test_convergence_error_carries_estimates(self):
-        spec = QuadratureSpec(base_order=8, rel_tolerance=1e-14, max_refinements=1)
+    def test_convergence_error_carries_estimates(self, monkeypatch):
+        # 0.002 lambda converges at the third refinement; stop after two
+        impedance._pair_impedance.cache_clear()
+        monkeypatch.setattr(impedance, "MAX_REFINEMENTS", 2)
         with pytest.raises(QuadratureConvergenceError) as exc_info:
-            mutual_impedance(element(), element(x=0.002 * LAM), C28, spec)
-        assert exc_info.value.previous is not None
-        assert exc_info.value.latest is not None
+            mutual_impedance(element(), element(x=0.002 * LAM), C28)
+        previous, latest = exc_info.value.previous, exc_info.value.latest
+        assert previous != latest
+        assert (abs(latest - previous)
+                > impedance.REL_TOLERANCE * max(abs(latest), abs(previous)))
 
     def test_half_wavelength_resonance_rejected(self):
         half_wave = element(h=LAM / 2.0, r=R)
@@ -250,22 +290,6 @@ class TestImpedanceSet:
         assert np.array_equal(imp.z_st, [1.0, 1.0])
         assert np.array_equal(imp.z_ss_self, [1.0, 1.0])
         assert np.array_equal(imp.z_ss_mutual, [[0.0, 1.0], [1.0, 0.0]])
-
-
-class TestQuadratureSpec:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"base_order": 4},
-            {"rel_tolerance": 1e-2},
-            {"rel_tolerance": 1e-15},
-            {"base_order": 7},
-            {"max_refinements": -1},
-        ],
-    )
-    def test_rejects_bad_spec(self, kwargs):
-        with pytest.raises(ValueError):
-            QuadratureSpec(**kwargs)
 
 
 @pytest.fixture
