@@ -19,10 +19,10 @@ raises DegenerateDesignError, since traces computed past that point would
 be numerical noise. The SNR enters only through ``_covariance_floor``, and
 every entry point that takes one requires ``0 < gamma < inf``.
 
-A power sweep factors each model pair once (``FactoredPair``) and then
-composes every row from the pair's power-independent traces; its
-Monte-Carlo columns come from ``mc_rmse_pairs``, which draws each trial's
-noise once and reuses it for every pair at that power.
+Every bound quantity of a model pair is read from a lazy ``FactoredPair``:
+``bias_trace``, ``lower_bound`` and ``mc_rmse`` read a fresh one, a sweep
+one per grid point. ``mc_rmse_pairs`` draws each trial's noise once and
+reuses it for every pair at that power.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs, qr
@@ -89,11 +90,6 @@ class _LsqFactor:
         if self.b is b_true or np.array_equal(self.b, b_true):
             return z.copy()
         return self.solve(b_true @ z)
-
-    def bias_trace(self, d_true, x_true) -> float:
-        """Squared distance between x_true and its projection."""
-        diff = _complex_form(x_true) - self.project(d_true, x_true)
-        return float(np.vdot(diff, diff).real)
 
     def inverse_gram_trace(self) -> float:
         """Tr((D^T D)^{-1}) = 2 ||R^{-1}||_F^2 via the triangular factor."""
@@ -155,7 +151,7 @@ def mcrb_trace(d_est, gamma: float) -> float:
 def bias_trace(d_est, d_true, x_true) -> float:
     """Squared distance between the true parameter and the pseudo-true
     parameter; independent of transmit power and noise level."""
-    return _LsqFactor(d_est, "estimation model").bias_trace(d_true, x_true)
+    return FactoredPair(d_est, d_true, x_true).tr_bias
 
 
 @dataclass(frozen=True)
@@ -187,14 +183,7 @@ class BoundReport:
 def lower_bound(d_est, d_true, x_true, gamma: float, *, p_t: float | None = None) -> BoundReport:
     """RMSE floor of estimation through ``d_est`` when data follow
     ``d_true``: sqrt of covariance floor plus squared parameter offset."""
-    _check_snr(gamma)
-    factor = _LsqFactor(d_est, "estimation model")
-    return BoundReport(
-        p_t=p_t,
-        gamma=gamma,
-        tr_mcrb=_covariance_floor(factor.inverse_gram_trace(), gamma),
-        tr_bias=factor.bias_trace(d_true, x_true),
-    )
+    return FactoredPair(d_est, d_true, x_true).report(p_t, gamma)
 
 
 def crlb(d_true, gamma: float) -> float:
@@ -207,64 +196,53 @@ def crlb(d_true, gamma: float) -> float:
 
 
 class FactoredPair:
-    """One model pair with both matrices factored once and every
-    power-independent quantity computed once: Tr((D_est^T D_est)^{-1}),
-    the bias trace, Tr((D_true^T D_true)^{-1}) and D_true x. ``report``
-    and ``mc_rmse_pairs`` then only scale them by the power. A matched
-    pair (``d_est is d_true``) shares one factorization."""
+    """A model pair's power-independent quantities, each computed on first
+    read and kept: Tr((D_est^T D_est)^{-1}), the bias trace,
+    Tr((D_true^T D_true)^{-1}) and the trial model. The bias never factors
+    D_true; a matched pair (``d_est is d_true``) is factored once."""
 
     def __init__(self, d_est, d_true, x_true):
-        est = _LsqFactor(d_est, "estimation model")
-        true = est if d_true is d_est else _LsqFactor(d_true)
-        z = _complex_form(x_true)
-        self.inverse_gram_est = est.inverse_gram_trace()
-        self.inverse_gram_true = (self.inverse_gram_est if true is est
-                                  else true.inverse_gram_trace())
-        self.tr_bias = est.bias_trace(true.b, z)
-        self._trial_model = (est, true.b @ z, z)
+        self._d_est, self._d_true, self._x_true = d_est, d_true, x_true
 
-    def report(self, p_t: float, gamma: float) -> BoundReport:
-        """Mismatched bound parts and the matched bound at one SNR."""
+    @cached_property
+    def _est(self) -> _LsqFactor:
+        return _LsqFactor(self._d_est, "estimation model")
+
+    @cached_property
+    def inverse_gram_est(self) -> float:
+        return self._est.inverse_gram_trace()
+
+    @cached_property
+    def inverse_gram_true(self) -> float:
+        if self._d_true is self._d_est:
+            return self.inverse_gram_est
+        return inverse_gram_trace(self._d_true)
+
+    @cached_property
+    def tr_bias(self) -> float:
+        diff = _complex_form(self._x_true) - self._est.project(self._d_true, self._x_true)
+        return float(np.vdot(diff, diff).real)
+
+    @cached_property
+    def _trial_model(self):
+        """(estimation factor, B_true z, z) of the Monte-Carlo trials."""
+        z = _complex_form(self._x_true)
+        return self._est, _complex_form(self._d_true) @ z, z
+
+    def crlb(self, gamma: float) -> float:
+        """Matched-model RMSE bound of D_true at SNR gamma."""
+        _check_snr(gamma)
+        return math.sqrt(_covariance_floor(self.inverse_gram_true, gamma))
+
+    def report(self, p_t: float | None, gamma: float) -> BoundReport:
+        """The mismatched bound's parts at one SNR."""
         _check_snr(gamma)
         return BoundReport(
             p_t=p_t,
             gamma=gamma,
             tr_mcrb=_covariance_floor(self.inverse_gram_est, gamma),
             tr_bias=self.tr_bias,
-            crlb=math.sqrt(_covariance_floor(self.inverse_gram_true, gamma)),
         )
-
-
-def _mc_rmse(scenario, models, p_t, trials, noise_seed, noiseless) -> list[float]:
-    """Monte-Carlo RMSE of each ``(estimation factor, B_true z, z)`` model,
-    trials outside and models inside, so each trial's noise is drawn once
-    and added to every model's mean. Each model keeps its own running
-    total in trial order, so its result does not depend on the others."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not p_t > 0.0:
-        raise ValueError("transmit power must be positive")
-    if isinstance(noise_seed, (int, np.integer)):
-        noise_seed = np.random.SeedSequence(int(noise_seed))
-
-    means = [np.sqrt(p_t) * signal for _, signal, _ in models]
-    sqrt_pt = math.sqrt(p_t)
-    if noiseless:
-        noises = itertools.repeat(None, trials)
-    else:
-        sigma = math.sqrt(scenario.noise.sigma2 / 2.0)
-        size = 2 * means[0].shape[0]
-        # one draw per trial in the stacked [Re; Im] order of the real form
-        noises = (complexify_vec(sigma * rng.standard_normal(size))
-                  for rng in trial_generators(noise_seed, trials))
-
-    totals = [0.0] * len(models)
-    for noise in noises:
-        for k, ((factor, _, z), mean) in enumerate(zip(models, means)):
-            r = mean if noise is None else mean + noise
-            err = factor.solve(r) / sqrt_pt - z
-            totals[k] += float(np.vdot(err, err).real)
-    return [math.sqrt(total / trials) for total in totals]
 
 
 def mc_rmse(
@@ -284,13 +262,10 @@ def mc_rmse(
     ``noise_seed`` (trials are therefore order-independent and could be
     evaluated in parallel), estimates through ``d_est``, and accumulates
     the squared error against the true parameter. ``noiseless`` trials
-    draw nothing and build no streams. This is the one-pair case of
-    ``mc_rmse_pairs``, with the same bits.
+    draw nothing and build no streams.
     """
-    z = _complex_form(x_true)
-    model = (_LsqFactor(d_est, "estimation model"), _complex_form(d_true) @ z, z)
-    (rmse,) = _mc_rmse(scenario, [model], p_t, trials, noise_seed, noiseless)
-    return rmse
+    return mc_rmse_pairs(scenario, [FactoredPair(d_est, d_true, x_true)], p_t,
+                         trials, noise_seed, noiseless=noiseless)[0]
 
 
 def mc_rmse_pairs(
@@ -302,9 +277,34 @@ def mc_rmse_pairs(
     *,
     noiseless: bool = False,
 ) -> list[float]:
-    """``mc_rmse`` of every pair at one power, all pairs seeing the same
-    per-trial noise draws; each result equals (``==``) the separate
-    ``mc_rmse`` call on that pair. The pairs must share the number of
-    observations."""
-    return _mc_rmse(scenario, [pair._trial_model for pair in pairs], p_t,
-                    trials, noise_seed, noiseless)
+    """``mc_rmse`` of every pair at one power, trials outside and pairs
+    inside, so each trial's noise is drawn once and added to every pair's
+    mean. Each pair keeps its own running total in trial order, so its
+    result equals (``==``) the separate ``mc_rmse`` call on that pair. The
+    pairs must share the number of observations."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not p_t > 0.0:
+        raise ValueError("transmit power must be positive")
+    if isinstance(noise_seed, (int, np.integer)):
+        noise_seed = np.random.SeedSequence(int(noise_seed))
+
+    models = [pair._trial_model for pair in pairs]
+    means = [np.sqrt(p_t) * signal for _, signal, _ in models]
+    sqrt_pt = math.sqrt(p_t)
+    if noiseless:
+        noises = itertools.repeat(None, trials)
+    else:
+        sigma = math.sqrt(scenario.noise.sigma2 / 2.0)
+        size = 2 * means[0].shape[0]
+        # one draw per trial in the stacked [Re; Im] order of the real form
+        noises = (complexify_vec(sigma * rng.standard_normal(size))
+                  for rng in trial_generators(noise_seed, trials))
+
+    totals = [0.0] * len(models)
+    for noise in noises:
+        for k, ((factor, _, z), mean) in enumerate(zip(models, means)):
+            r = mean if noise is None else mean + noise
+            err = factor.solve(r) / sqrt_pt - z
+            totals[k] += float(np.vdot(err, err).real)
+    return [math.sqrt(total / trials) for total in totals]

@@ -1,19 +1,17 @@
 """Seeded sweep runners for the three experiment families, plus CSV output.
 
-Each runner takes a SweepRequest, evaluates one bound report per grid
-point, and returns a SweepResult whose rows are ordered by the sweep
-grids. Every grid point is built by ``_build_point``, which returns
-``model_pair``'s complex ``(d_true, d_est, x_true)`` at the default
-quadrature (the runners take no quadrature option). The spacing runners
-share one (spacing x size) loop; the power runners build and factor each spacing
-once, at the scenario's size, as a ``bounds.FactoredPair``, and compose
-every row from it (``FactoredPair.report`` divides its traces by the row's
-2 gamma). The RIS load sequence always comes from the dedicated load
-substream of the master seed, so every spacing and size sees the same
-draw order. Noise streams are keyed by the transmit-power value; each
-power's trials draw their noise once (``bounds.mc_rmse_pairs``) and every
-spacing at that power sees the same draws, so dropping a grid point
-never changes the remaining rows.
+Each runner takes a SweepRequest and returns a SweepResult whose rows are
+ordered by the sweep grids. One grid loop (``_grid``) serves every kind: a
+point's models come from ``_build_point`` (``model_pair``'s complex
+``(d_true, d_est, x_true)`` at the default quadrature; the runners take no
+quadrature option) and live only in that point's lazy
+``bounds.FactoredPair``, from which all of the point's rows are read, so
+each trace is computed once and only if a column needs it. The RIS load
+sequence always comes from the dedicated load substream of the master
+seed, so every spacing and size sees the same draw order. Noise streams
+are keyed by the transmit-power value; each power's trials draw their
+noise once (``bounds.mc_rmse_pairs``) and every spacing at that power sees
+the same draws, so dropping a grid point never changes the remaining rows.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .bounds import BoundReport, FactoredPair, bias_trace, crlb, mc_rmse_pairs, snr
+from .bounds import BoundReport, FactoredPair, mc_rmse_pairs, snr
 from .channel import model_pair, noise_seed, sample_loads
 from .errors import ComputationError, annotate
 from .impedance import build_impedance_set, mutual_impedance
@@ -98,6 +96,34 @@ def _build_point(scenario: Scenario, d_over_lambda: float, n1: int, n2: int):
     return model_pair(impedances, sample_loads(sc))
 
 
+def _point_pair(request: SweepRequest, d, n1, n2, model_sink) -> FactoredPair:
+    """One grid point's pair; the pair is the only holder of its models."""
+    d_true, d_est, x_true = _build_point(request.scenario, d, n1, n2)
+    d_est = d_true if request.matched else d_est
+    if model_sink is not None:
+        model_sink(d, n1, n2, d_true, d_est)
+    return FactoredPair(d_est, d_true, x_true)
+
+
+def _grid(request: SweepRequest, read, model_sink=None) -> list[tuple]:
+    """``(variables, read(pair))`` per point, spacing-major: each (spacing,
+    size) of a spacing sweep, each spacing at the scenario's size for a
+    power sweep. A pair is built and read inside its point's annotation,
+    and only what ``read`` returns outlives the point."""
+    power = request.kind in ("lb_vs_power", "mc_rmse")
+    sizes = [(request.scenario.ris.n1, request.scenario.ris.n2)] if power else request.sizes
+    out = []
+    for d in request.spacing_grid:
+        for n1, n2 in sizes:
+            try:
+                out.append(({"d_over_lambda": d, "n1": n1, "n2": n2},
+                            read(_point_pair(request, d, n1, n2, model_sink))))
+            except ComputationError as exc:
+                where = f"spacing {d} lambda" if power else f"spacing {d} lambda, size {n1}x{n2}"
+                raise annotate(exc, where) from exc
+    return out
+
+
 def _power_sweep(request: SweepRequest, model_sink) -> SweepResult:
     scenario = request.scenario
     started = time.perf_counter()
@@ -107,22 +133,13 @@ def _power_sweep(request: SweepRequest, model_sink) -> SweepResult:
         p_t = dbm_to_watts(p_dbm)
         powers.append((p_dbm, p_t, snr(p_t, scenario.noise.sigma2)))
 
-    n1, n2 = scenario.ris.n1, scenario.ris.n2
-    pairs = []
-    for d in request.spacing_grid:
-        try:
-            d_true, d_est, x_true = _build_point(scenario, d, n1, n2)
-            if request.matched:
-                d_est = d_true
-            if model_sink is not None:
-                model_sink(d, n1, n2, d_true, d_est)
-            pairs.append(FactoredPair(d_est, d_true, x_true))
-        except ComputationError as exc:
-            raise annotate(exc, f"spacing {d} lambda") from exc
+    def read(pair):
+        return pair, [replace(pair.report(p_t, gamma), crlb=pair.crlb(gamma))
+                      for _, p_t, gamma in powers]
 
+    pairs, per_pair = zip(*(point for _, point in _grid(request, read, model_sink)))
     rows = []
-    for p_dbm, p_t, gamma in powers:
-        reports = [pair.report(p_t, gamma) for pair in pairs]
+    for (p_dbm, p_t, gamma), reports in zip(powers, zip(*per_pair)):
         if request.trials > 0:
             rmses = mc_rmse_pairs(scenario, pairs, p_t, request.trials,
                                   noise_seed(scenario.rng_seed, p_dbm),
@@ -149,33 +166,20 @@ def run_mc_rmse(request: SweepRequest, model_sink=None) -> SweepResult:
     return _power_sweep(request, model_sink)
 
 
-def _spacing_sweep(request: SweepRequest, evaluate) -> SweepResult:
-    """One report per (spacing, size) point, spacing-major; ``evaluate``
-    maps a point's ``(d_true, d_est, x_true)`` to its report."""
-    scenario = request.scenario
+def _spacing_sweep(request: SweepRequest, read) -> SweepResult:
+    """One ``read(pair)`` report per (spacing, size) point, spacing-major."""
     started = time.perf_counter()
-    rows = []
-    for d in request.spacing_grid:
-        for n1, n2 in request.sizes:
-            try:
-                report = evaluate(*_build_point(scenario, d, n1, n2))
-            except ComputationError as exc:
-                raise annotate(exc, f"spacing {d} lambda, size {n1}x{n2}") from exc
-            rows.append(({"d_over_lambda": d, "n1": n1, "n2": n2}, report))
+    rows = _grid(request, read)
     return SweepResult(kind=request.kind, rows=rows,
-                       metadata=_metadata(scenario, started))
+                       metadata=_metadata(request.scenario, started))
 
 
 def run_bias_vs_spacing(request: SweepRequest) -> SweepResult:
     """SNR-independent error floor versus element spacing, per RIS size."""
     if request.kind != "bias_vs_spacing":
         raise ValueError(f"expected kind 'bias_vs_spacing', got {request.kind!r}")
-
-    def evaluate(d_true, d_est, x_true):
-        return BoundReport(p_t=None, gamma=None, tr_mcrb=None,
-                           tr_bias=bias_trace(d_est, d_true, x_true))
-
-    return _spacing_sweep(request, evaluate)
+    return _spacing_sweep(request, lambda pair: BoundReport(
+        p_t=None, gamma=None, tr_mcrb=None, tr_bias=pair.tr_bias))
 
 
 def run_crlb_vs_spacing(request: SweepRequest) -> SweepResult:
@@ -186,12 +190,8 @@ def run_crlb_vs_spacing(request: SweepRequest) -> SweepResult:
         raise ValueError("crlb_vs_spacing uses exactly one transmit power")
     p_t = dbm_to_watts(request.power_grid[0])
     gamma = snr(p_t, request.scenario.noise.sigma2)
-
-    def evaluate(d_true, d_est, x_true):
-        return BoundReport(p_t=p_t, gamma=gamma, tr_mcrb=None, tr_bias=None,
-                           crlb=crlb(d_true, gamma))
-
-    return _spacing_sweep(request, evaluate)
+    return _spacing_sweep(request, lambda pair: BoundReport(
+        p_t=p_t, gamma=gamma, tr_mcrb=None, tr_bias=None, crlb=pair.crlb(gamma)))
 
 
 def run_impedance_sweep(scenario: Scenario,

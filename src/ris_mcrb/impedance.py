@@ -125,7 +125,7 @@ def _integrate(k0, hp, hq, rho1, rho2):
     raise QuadratureConvergenceError(
         f"impedance quadrature did not converge to rel_tolerance="
         f"{REL_TOLERANCE:g} within {MAX_REFINEMENTS} refinements "
-        f"(last estimates {previous!r} and {latest!r})",
+        f"(last estimates {complex(previous)} and {complex(latest)})",
         previous=previous,
         latest=latest,
     )
@@ -156,7 +156,7 @@ def _pair_impedance(k0, eta0, hp, hq, rho1, rho2):
     value = value * (1j * eta0 / (4.0 * math.pi * k0))
     err = err * (eta0 / (4.0 * math.pi * k0))
     if not np.isfinite(value):
-        raise ComputationError(f"impedance evaluated to a non-finite value {value!r}")
+        raise ComputationError(f"impedance evaluated to a non-finite value {complex(value)}")
     return value, err, order
 
 

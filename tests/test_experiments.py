@@ -2,6 +2,7 @@ import csv
 import ctypes
 import io
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from ris_mcrb import bounds, channel, cli, experiments, impedance
 from ris_mcrb.bounds import bias_trace, crlb, lower_bound, mc_rmse
 from ris_mcrb.channel import model_pair, noise_seed, sample_loads
 from ris_mcrb.cli import main
-from ris_mcrb.errors import ComputationError
+from ris_mcrb.errors import ComputationError, DegenerateDesignError
 from ris_mcrb.experiments import (
     SweepRequest,
     SweepResult,
@@ -374,6 +375,98 @@ class TestPowerSweepSharing:
         # and the value the sweep printed before noiseless trials skipped
         # their streams, at the 1e-12 output contract
         assert want == pytest.approx(1.4247475973629437e-06, rel=1e-12)
+
+
+def spoiled_builder(monkeypatch, index):
+    """Make ``_build_point`` return model ``index`` (0 true, 1 estimation)
+    rank deficient, by repeating its first column."""
+    build = experiments._build_point
+
+    def spoiled(*args):
+        models = list(build(*args))
+        models[index] = models[index].copy()
+        models[index][:, 1] = models[index][:, 0]
+        return tuple(models)
+
+    monkeypatch.setattr(experiments, "_build_point", spoiled)
+
+
+class TestOnePairPerPoint:
+    """Every grid point reads one lazy FactoredPair: a sweep factors only
+    the models its columns need, inside the point's error annotation, and
+    a point's models are freed before the next point is built."""
+
+    SPACINGS = [0.05, 0.5]
+    SIZES = [(2, 2), (3, 2)]
+
+    def spacing_request(self, scenario, runner):
+        if runner is run_bias_vs_spacing:
+            return SweepRequest(kind="bias_vs_spacing", scenario=scenario,
+                                spacing_grid=self.SPACINGS, sizes=self.SIZES)
+        return SweepRequest(kind="crlb_vs_spacing", scenario=scenario,
+                            power_grid=[40.0], spacing_grid=self.SPACINGS,
+                            sizes=self.SIZES)
+
+    @pytest.mark.parametrize("runner", [run_bias_vs_spacing, run_crlb_vs_spacing])
+    def test_one_factorization_per_point(self, small_scenario, monkeypatch,
+                                         runner):
+        qrs = counting_wrapper(monkeypatch, bounds, "qr")
+        rows = runner(self.spacing_request(small_scenario, runner)).rows
+        assert len(rows) == len(self.SPACINGS) * len(self.SIZES)
+        assert len(qrs) == len(rows)
+
+    @pytest.mark.parametrize("runner,unread", [(run_bias_vs_spacing, 0),
+                                               (run_crlb_vs_spacing, 1)])
+    def test_unread_model_is_never_factored(self, small_scenario, monkeypatch,
+                                            runner, unread):
+        # the bias never factors the true model and the matched bound never
+        # factors the estimation model, so a rank-deficient one cannot fail
+        # the sweep that does not print it
+        request = self.spacing_request(small_scenario, runner)
+        clean = runner(request).rows
+        spoiled_builder(monkeypatch, unread)
+        rows = runner(request).rows
+        assert [v for v, _ in rows] == [v for v, _ in clean]
+        if runner is run_crlb_vs_spacing:
+            assert rows == clean
+        with pytest.raises(DegenerateDesignError, match="rank deficient"):
+            bounds.inverse_gram_trace(experiments._build_point(
+                small_scenario, 0.5, 2, 2)[unread])
+
+    @pytest.mark.parametrize("runner,unread,where", [
+        (run_bias_vs_spacing, 1, r"spacing 0\.05 lambda, size 2x2: estimation model"),
+        (run_crlb_vs_spacing, 0, r"spacing 0\.05 lambda, size 2x2: model matrix"),
+        (run_lb_vs_power, 0, r"^spacing 0\.05 lambda: model matrix"),
+        (run_mc_rmse, 1, r"^spacing 0\.05 lambda: estimation model"),
+    ], ids=["bias", "crlb", "lb", "mc"])
+    def test_factorization_errors_annotated(self, small_scenario, monkeypatch,
+                                            runner, unread, where):
+        # the pair computes on first read, and the first read happens
+        # inside the grid point's annotation
+        if runner in (run_bias_vs_spacing, run_crlb_vs_spacing):
+            request = self.spacing_request(small_scenario, runner)
+        else:
+            request = power_request(small_scenario, runner, power_grid=[0.0],
+                                    spacing_grid=self.SPACINGS, trials=2)
+        spoiled_builder(monkeypatch, unread)
+        with pytest.raises(DegenerateDesignError, match=where):
+            runner(request)
+
+    @pytest.mark.parametrize("runner", [run_bias_vs_spacing, run_crlb_vs_spacing])
+    def test_models_freed_before_next_point(self, small_scenario, monkeypatch,
+                                            runner):
+        build = experiments._build_point
+        refs = []
+
+        def tracking(*args):
+            assert all(ref() is None for ref in refs), "a previous point's model is alive"
+            d_true, d_est, x_true = build(*args)
+            refs.extend([weakref.ref(d_true), weakref.ref(d_est)])
+            return d_true, d_est, x_true
+
+        monkeypatch.setattr(experiments, "_build_point", tracking)
+        rows = runner(self.spacing_request(small_scenario, runner)).rows
+        assert len(refs) == 2 * len(rows)
 
 
 class TestImpedanceSweep:

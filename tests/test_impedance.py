@@ -42,6 +42,25 @@ CURVE = {
     2.5: 0.018400205890376,
 }
 
+# Tx and Rx coupling of the default scenario's corner element, RIS element
+# (0, 0) of the 4x4 grid at 0.5 lambda: element at (-0.75, -0.75, 0) lambda,
+# antenna at the position given (m), about 660 lambda away and staggered in
+# z. Each value is the engine's integral for the same float geometry,
+# Z = j eta/(4 pi k) * int int e^{-jkr}/r * P(u, r) * s(xi) s(z) dxi dz with
+# u = z - xi + rho2, r = sqrt(rho1^2 + u^2),
+# P = k^2 - jk/r - (k^2 u^2 + 1)/r^2 + 3jk u^2/r^3 + 3u^2/r^4 and
+# s(t) = sin(k(h - |t|))/sin(kh), evaluated to 30 digits with mpmath
+# (Gauss-Legendre at 40 digits and tanh-sinh at 50 agree to 2e-41).
+CORNER = -1.5 * (0.5 * LAM)
+FAR_FIELD = {
+    "tx": ((5.0, -5.0, 3.0),
+           3.0845185034806951114416841423491e-05
+           - 4.4808102011547041359477991586218e-05j),
+    "rx": ((5.0, 5.0, 1.0),
+           1.8865677831944419588896549725423e-05
+           + 6.4914099380230266792910794707435e-05j),
+}
+
 
 def element(x=0.0, y=0.0, z=0.0, h=H, r=R):
     return Radiator(np.array([x, y, z]), h, r)
@@ -109,6 +128,16 @@ class TestMutualImpedance:
             want = closed_form_impedance(rho)
             assert abs(mutual_impedance(e, other, C28) - want) <= 1e-12 * abs(want)
 
+    @pytest.mark.parametrize("antenna", sorted(FAR_FIELD))
+    def test_stored_far_field_oracle(self, antenna):
+        position, want = FAR_FIELD[antenna]
+        scenario = scenario_from_config({})
+        assert np.array_equal(scenario.ris_radiators()[0].position,
+                              [CORNER, CORNER, 0.0])
+        assert np.array_equal(getattr(scenario, antenna).position, position)
+        got = mutual_impedance(element(x=CORNER, y=CORNER), element(*position), C28)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
     def test_error_estimate_bounds_refinement_change(self):
         # at 0.002 lambda the rule needs three refinements, so the estimate
         # measures quadrature error rather than rounding
@@ -132,6 +161,10 @@ class TestMutualImpedance:
         assert previous != latest
         assert (abs(latest - previous)
                 > impedance.REL_TOLERANCE * max(abs(latest), abs(previous)))
+        # the message prints plain complex numbers, not numpy reprs
+        message = str(exc_info.value)
+        assert "np.complex128" not in message
+        assert f"last estimates {complex(previous)} and {complex(latest)}" in message
 
     def test_half_wavelength_resonance_rejected(self):
         half_wave = element(h=LAM / 2.0, r=R)
