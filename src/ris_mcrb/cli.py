@@ -1,5 +1,11 @@
 """Command-line front end: seeded sweeps to CSV.
 
+Each flag is declared once, on an argparse parent parser: ``--config``,
+``--seed`` and ``--out`` on every subcommand, and the flags that the two
+power sweeps, and the two spacing sweeps, share. A grid flag stores under
+the ``SweepRequest`` field it fills and each sweep subcommand declares its
+kind and runner, so ``_run`` builds every request in one place.
+
 Exit codes: 0 success, 2 config/validation error, 3 numerical failure
 (singular systems, non-convergent quadrature), 4 I/O failure.
 
@@ -15,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import dataclasses
 import os
 import re
 import sys
@@ -64,71 +71,62 @@ def _size_list(text: str) -> list[tuple[int, int]]:
     return sizes
 
 
-def _add_common(parser):
-    parser.add_argument("--config", metavar="FILE", help="scenario config (YAML)")
-    parser.add_argument("--seed", type=int, metavar="N",
+def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", metavar="FILE", help="scenario config (YAML)")
+    common.add_argument("--seed", type=int, metavar="N",
                         help="override the scenario master seed")
-    parser.add_argument("--out", metavar="CSV",
+    common.add_argument("--out", metavar="CSV",
                         help="output path (default: stdout)")
 
+    power = argparse.ArgumentParser(add_help=False)
+    power.add_argument("--powers-dbm", dest="power_grid", type=_float_list,
+                       default=DEFAULT_POWER_GRID_DBM, metavar="LIST")
+    power.add_argument("--spacings-over-lambda", dest="spacing_grid",
+                       type=_float_list, default=DEFAULT_LB_SPACINGS, metavar="LIST")
+    power.add_argument("--matched", action="store_true",
+                       help="estimate with the coupling-aware model")
+    power.add_argument("--dump-model", metavar="DIR",
+                       help="debug: write the complex model matrices as CSV")
 
-def build_parser() -> argparse.ArgumentParser:
+    spacing = argparse.ArgumentParser(add_help=False)
+    spacing.add_argument("--spacings-over-lambda", dest="spacing_grid",
+                         type=_float_list, default=DEFAULT_SPACING_GRID, metavar="LIST")
+    spacing.add_argument("--sizes", type=_size_list, default=DEFAULT_SIZES, metavar="LIST")
+
     parser = argparse.ArgumentParser(
         prog="ris-mcrb",
         description="Mutual-coupling impact on RIS-assisted channel estimation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("impedance-sweep",
+    p = sub.add_parser("impedance-sweep", parents=[common],
                        help="two-element mutual impedance vs separation")
-    _add_common(p)
     p.add_argument("--distances-over-lambda", type=_float_list,
                    default=DEFAULT_SPACING_GRID, metavar="LIST")
 
-    p = sub.add_parser("lb-vs-power",
+    p = sub.add_parser("lb-vs-power", parents=[common, power],
                        help="mismatched bound (and optional RMSE) vs transmit power")
-    _add_common(p)
-    p.add_argument("--powers-dbm", type=_float_list,
-                   default=DEFAULT_POWER_GRID_DBM, metavar="LIST")
-    p.add_argument("--spacings-over-lambda", type=_float_list,
-                   default=DEFAULT_LB_SPACINGS, metavar="LIST")
     p.add_argument("--trials", type=int, default=0, metavar="N",
                    help="Monte-Carlo trials per point (0 = bounds only)")
-    p.add_argument("--matched", action="store_true",
-                   help="estimate with the coupling-aware model")
-    p.add_argument("--dump-model", metavar="DIR",
-                   help="debug: write the complex model matrices as CSV")
+    p.set_defaults(kind="lb_vs_power", runner=run_lb_vs_power)
 
-    p = sub.add_parser("bias-vs-spacing",
+    p = sub.add_parser("bias-vs-spacing", parents=[common, spacing],
                        help="SNR-independent error floor vs element spacing")
-    _add_common(p)
-    p.add_argument("--spacings-over-lambda", type=_float_list,
-                   default=DEFAULT_SPACING_GRID, metavar="LIST")
-    p.add_argument("--sizes", type=_size_list, default=DEFAULT_SIZES, metavar="LIST")
+    p.set_defaults(kind="bias_vs_spacing", runner=run_bias_vs_spacing)
 
-    p = sub.add_parser("crlb-vs-spacing",
+    p = sub.add_parser("crlb-vs-spacing", parents=[common, spacing],
                        help="matched bound vs element spacing at fixed power")
-    _add_common(p)
     p.add_argument("--power-dbm", type=float, default=DEFAULT_CRLB_POWER_DBM,
                    metavar="P")
-    p.add_argument("--spacings-over-lambda", type=_float_list,
-                   default=DEFAULT_SPACING_GRID, metavar="LIST")
-    p.add_argument("--sizes", type=_size_list, default=DEFAULT_SIZES, metavar="LIST")
+    p.set_defaults(kind="crlb_vs_spacing", runner=run_crlb_vs_spacing)
 
-    p = sub.add_parser("mc-rmse",
+    p = sub.add_parser("mc-rmse", parents=[common, power],
                        help="Monte-Carlo estimator RMSE alongside the bounds")
-    _add_common(p)
-    p.add_argument("--powers-dbm", type=_float_list,
-                   default=DEFAULT_POWER_GRID_DBM, metavar="LIST")
-    p.add_argument("--spacings-over-lambda", type=_float_list,
-                   default=DEFAULT_LB_SPACINGS, metavar="LIST")
     p.add_argument("--trials", type=int, default=500, metavar="N")
-    p.add_argument("--matched", action="store_true",
-                   help="estimate with the coupling-aware model")
     p.add_argument("--noiseless", action="store_true",
                    help="suppress observation noise (deterministic residual)")
-    p.add_argument("--dump-model", metavar="DIR",
-                   help="debug: write the complex model matrices as CSV")
+    p.set_defaults(kind="mc_rmse", runner=run_mc_rmse)
 
     return parser
 
@@ -156,13 +154,6 @@ def _fold_negative_lists(argv):
     return out
 
 
-def _scenario_from_args(args):
-    scenario = load_scenario_file(args.config) if args.config else default_scenario()
-    if args.seed is not None:
-        scenario = scenario.with_overrides(seed=args.seed)
-    return scenario
-
-
 def _model_sink(directory):
     os.makedirs(directory, exist_ok=True)
 
@@ -176,42 +167,19 @@ def _model_sink(directory):
 
 
 def _run(args):
-    scenario = _scenario_from_args(args)
+    scenario = load_scenario_file(args.config) if args.config else default_scenario()
+    if args.seed is not None:
+        scenario = scenario.with_overrides(seed=args.seed)
     if args.command == "impedance-sweep":
         return run_impedance_sweep(scenario, args.distances_over_lambda)
-    if args.command == "lb-vs-power":
-        request = SweepRequest(
-            kind="lb_vs_power", scenario=scenario,
-            power_grid=args.powers_dbm,
-            spacing_grid=args.spacings_over_lambda,
-            trials=args.trials, matched=args.matched,
-        )
-        sink = _model_sink(args.dump_model) if args.dump_model else None
-        return run_lb_vs_power(request, model_sink=sink)
-    if args.command == "bias-vs-spacing":
-        request = SweepRequest(
-            kind="bias_vs_spacing", scenario=scenario,
-            spacing_grid=args.spacings_over_lambda, sizes=args.sizes,
-        )
-        return run_bias_vs_spacing(request)
+    fields = {f.name: getattr(args, f.name)
+              for f in dataclasses.fields(SweepRequest) if f.name in args}
     if args.command == "crlb-vs-spacing":
-        request = SweepRequest(
-            kind="crlb_vs_spacing", scenario=scenario,
-            power_grid=[args.power_dbm],
-            spacing_grid=args.spacings_over_lambda, sizes=args.sizes,
-        )
-        return run_crlb_vs_spacing(request)
-    if args.command == "mc-rmse":
-        request = SweepRequest(
-            kind="mc_rmse", scenario=scenario,
-            power_grid=args.powers_dbm,
-            spacing_grid=args.spacings_over_lambda,
-            trials=args.trials, matched=args.matched,
-            noiseless=args.noiseless,
-        )
-        sink = _model_sink(args.dump_model) if args.dump_model else None
-        return run_mc_rmse(request, model_sink=sink)
-    raise ValueError(f"unknown command {args.command!r}")
+        fields["power_grid"] = [args.power_dbm]
+    request = SweepRequest(scenario=scenario, **fields)
+    if getattr(args, "dump_model", None):
+        return args.runner(request, model_sink=_model_sink(args.dump_model))
+    return args.runner(request)
 
 
 # (prefix, suffix) of the thread-count functions, in lookup order: upstream

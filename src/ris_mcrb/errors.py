@@ -56,10 +56,7 @@ class DegenerateDesignError(ComputationError):
 
 
 def annotate(exc: ComputationError, label: str) -> ComputationError:
-    """Clone a computation error with a location prefix, keeping payloads."""
-    message = f"{label}: {exc}"
-    if isinstance(exc, QuadratureConvergenceError):
-        return QuadratureConvergenceError(message, exc.previous, exc.latest)
-    if isinstance(exc, (SingularModelError, DegenerateDesignError)):
-        return type(exc)(message, rcond=exc.rcond)
-    return type(exc)(message)
+    """Prefix a computation error's message with a location, in place, so
+    its type and payload (``rcond``, ``previous``, ``latest``) survive."""
+    exc.args = (f"{label}: {exc}",)
+    return exc

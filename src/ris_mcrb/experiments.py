@@ -120,7 +120,7 @@ def _grid(request: SweepRequest, read, model_sink=None) -> list[tuple]:
                             read(_point_pair(request, d, n1, n2, model_sink))))
             except ComputationError as exc:
                 where = f"spacing {d} lambda" if power else f"spacing {d} lambda, size {n1}x{n2}"
-                raise annotate(exc, where) from exc
+                raise annotate(exc, where)
     return out
 
 

@@ -9,7 +9,8 @@ the integrand is smooth. The rule is fixed: each panel is integrated with
 ``BASE_ORDER`` Gauss-Legendre nodes per axis, and the order doubles up to
 ``MAX_REFINEMENTS`` times until two successive estimates agree to
 ``REL_TOLERANCE`` relative; otherwise ``QuadratureConvergenceError``
-carries the last two estimates.
+carries the last two estimates. A non-finite estimate can never converge,
+so it raises ``ComputationError`` at once.
 
 The self-impedance case evaluates the same kernel with the source point
 displaced to the wire surface (radial offset = wire radius, no axial
@@ -28,6 +29,7 @@ bit. Failures are never memoized; they raise each time.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -80,6 +82,9 @@ def _split_axis(h: float, order: int):
     return nodes, weights
 
 
+# the finiteness check replaces the warnings of the overflow or division
+# that spoils an estimate
+@np.errstate(all="ignore")
 def _tensor_estimate(k0, hp, hq, rho1, rho2, sin_p, sin_q, order):
     xi, w_xi = _split_axis(hp, order)
     z, w_z = _split_axis(hq, order)
@@ -101,7 +106,12 @@ def _tensor_estimate(k0, hp, hq, rho1, rho2, sin_p, sin_q, order):
         * np.sin(k0 * (hq - np.abs(z)))[None, :]
     ) / (sin_p * sin_q)
     kernel = np.exp(-1j * k0 * r) / r * profile * poly
-    return w_xi @ kernel @ w_z
+    value = w_xi @ kernel @ w_z
+    if not np.isfinite(value):
+        raise ComputationError(
+            f"impedance quadrature estimate {complex(value)} at order {order} "
+            f"is not finite at (rho1, rho2) = ({rho1:g}, {rho2:g})")
+    return value
 
 
 def _integrate(k0, hp, hq, rho1, rho2):
@@ -221,22 +231,19 @@ def impedance_matrix(elements: list[Radiator], constants: PhysicalConstants):
     if n < 1:
         raise ValueError("need at least one element")
 
-    def evaluate(p, q, label):
-        try:
-            return mutual_impedance(p, q, constants)
-        except ComputationError as exc:
-            raise annotate(exc, label) from exc
-
     z_self = np.empty(n, dtype=complex)
-    for i, elem in enumerate(elements):
-        z_self[i] = evaluate(elem, elem, f"element {i} self term")
-
     z_mutual = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = evaluate(elements[i], elements[j], f"element pair ({i},{j})")
-            z_mutual[i, j] = value
-            z_mutual[j, i] = value
+    j = -1
+    try:
+        for i, elem in enumerate(elements):
+            z_self[i] = mutual_impedance(elem, elem, constants)
+        for i, j in itertools.combinations(range(n), 2):
+            z_mutual[i, j] = z_mutual[j, i] = mutual_impedance(
+                elements[i], elements[j], constants)
+    except ComputationError as exc:
+        # j stays -1 while the self terms run
+        raise annotate(exc, f"element {i} self term" if j < 0
+                       else f"element pair ({i},{j})")
     return z_self, z_mutual
 
 
@@ -247,11 +254,11 @@ def coupling_vector(
 ) -> np.ndarray:
     """Mutual impedance of every element toward a single antenna."""
     out = np.empty(len(elements), dtype=complex)
-    for i, elem in enumerate(elements):
-        try:
+    try:
+        for i, elem in enumerate(elements):
             out[i] = mutual_impedance(elem, antenna, constants)
-        except ComputationError as exc:
-            raise annotate(exc, f"element {i} to antenna") from exc
+    except ComputationError as exc:
+        raise annotate(exc, f"element {i} to antenna")
     return out
 
 

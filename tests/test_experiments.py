@@ -452,6 +452,14 @@ class TestOnePairPerPoint:
         with pytest.raises(DegenerateDesignError, match=where):
             runner(request)
 
+    def test_annotation_keeps_rcond(self, small_scenario, monkeypatch):
+        request = self.spacing_request(small_scenario, run_bias_vs_spacing)
+        spoiled_builder(monkeypatch, 1)
+        with pytest.raises(DegenerateDesignError,
+                           match=r"^spacing 0\.05 lambda, size 2x2: ") as exc_info:
+            run_bias_vs_spacing(request)
+        assert exc_info.value.rcond < channel.RCOND_FLOOR
+
     @pytest.mark.parametrize("runner", [run_bias_vs_spacing, run_crlb_vs_spacing])
     def test_models_freed_before_next_point(self, small_scenario, monkeypatch,
                                             runner):
@@ -756,3 +764,120 @@ class TestCli:
         files = sorted(p.name for p in dump_dir.iterdir())
         assert files == ["b_est_d0.1234567_2x2.csv", "b_est_d0.1234568_2x2.csv",
                          "b_true_d0.1234567_2x2.csv", "b_true_d0.1234568_2x2.csv"]
+
+
+# the runner each sweep subcommand declares, by its name in ``cli``
+CLI_RUNNERS = {"lb-vs-power": "run_lb_vs_power", "mc-rmse": "run_mc_rmse",
+               "bias-vs-spacing": "run_bias_vs_spacing",
+               "crlb-vs-spacing": "run_crlb_vs_spacing"}
+POWER_DEFAULTS = {"power_grid": [float(p) for p in range(-10, 81, 10)],
+                  "spacing_grid": [0.02, 0.1, 0.5], "sizes": []}
+SPACING_DEFAULTS = {"spacing_grid": [0.002, 0.005, 0.01, 0.02, 0.05, 0.1,
+                                     0.2, 0.5, 1.0, 2.5],
+                    "sizes": [(4, 4), (8, 8), (12, 12)]}
+
+
+def captured_requests(monkeypatch, command):
+    """Replace the runner of ``command`` in ``cli``, before ``main`` builds
+    its parser, by one that records ``(request, keyword arguments)`` and
+    returns no rows; return the record list."""
+    record = []
+
+    def runner(request, **kwargs):
+        record.append((request, kwargs))
+        return SweepResult(kind=request.kind, rows=[], metadata={})
+
+    monkeypatch.setattr(cli, CLI_RUNNERS[command], runner)
+    return record
+
+
+class TestCliRequests:
+    """Every sweep subcommand builds its SweepRequest on one path, from the
+    flags it shares with the other subcommands."""
+
+    @pytest.mark.parametrize("command,want", [
+        ("lb-vs-power", dict(POWER_DEFAULTS, kind="lb_vs_power", trials=0)),
+        ("mc-rmse", dict(POWER_DEFAULTS, kind="mc_rmse", trials=500)),
+        ("bias-vs-spacing", dict(SPACING_DEFAULTS, kind="bias_vs_spacing",
+                                 power_grid=[], trials=0)),
+        ("crlb-vs-spacing", dict(SPACING_DEFAULTS, kind="crlb_vs_spacing",
+                                 power_grid=[40.0], trials=0)),
+    ], ids=["lb-vs-power", "mc-rmse", "bias-vs-spacing", "crlb-vs-spacing"])
+    def test_defaults(self, monkeypatch, capsys, command, want):
+        record = captured_requests(monkeypatch, command)
+        assert main([command]) == 0
+        [(request, kwargs)] = record
+        assert kwargs == {}
+        want = dict(want, matched=False, noiseless=False)
+        assert {name: getattr(request, name) for name in want} == want
+        assert request.scenario.config == scenario_from_config({}).config
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv,want", [
+        (["lb-vs-power", "--powers-dbm", "-10,5", "--spacings-over-lambda", "0.3",
+          "--trials", "4", "--matched"],
+         dict(power_grid=[-10.0, 5.0], spacing_grid=[0.3], trials=4, matched=True)),
+        (["mc-rmse", "--powers-dbm", "20", "--spacings-over-lambda", "0.1,0.4",
+          "--trials", "3", "--matched", "--noiseless"],
+         dict(power_grid=[20.0], spacing_grid=[0.1, 0.4], trials=3, matched=True,
+              noiseless=True)),
+        (["bias-vs-spacing", "--spacings-over-lambda", "0.2,0.5", "--sizes", "2x2,3x2"],
+         dict(spacing_grid=[0.2, 0.5], sizes=[(2, 2), (3, 2)])),
+        (["crlb-vs-spacing", "--power-dbm", "-4e1", "--spacings-over-lambda", "0.5",
+          "--sizes", "2x3"],
+         dict(power_grid=[-40.0], spacing_grid=[0.5], sizes=[(2, 3)])),
+    ], ids=["lb-vs-power", "mc-rmse", "bias-vs-spacing", "crlb-vs-spacing"])
+    def test_flags_fill_their_fields(self, tmp_path, monkeypatch, capsys, argv, want):
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_text(TestCli.CONFIG)
+        record = captured_requests(monkeypatch, argv[0])
+        assert main(argv + ["--config", str(cfg), "--seed", "7"]) == 0
+        [(request, _)] = record
+        assert {name: getattr(request, name) for name in want} == want
+        scenario = request.scenario
+        assert (scenario.ris.n1, scenario.ris.n2, scenario.rng_seed) == (2, 2, 7)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["lb-vs-power", "mc-rmse"])
+    def test_dump_model_hands_runner_a_sink(self, tmp_path, monkeypatch, capsys,
+                                            command):
+        record = captured_requests(monkeypatch, command)
+        assert main([command, "--dump-model", str(tmp_path / "models")]) == 0
+        [(_, kwargs)] = record
+        assert set(kwargs) == {"model_sink"} and callable(kwargs["model_sink"])
+        assert (tmp_path / "models").is_dir()
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("extra", [[], ["--matched"]], ids=["mismatched", "matched"])
+    def test_lb_vs_power_trials_prints_mc_rmse_csv(self, tmp_path, capsys, extra):
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_text(TestCli.CONFIG)
+        args = ["--config", str(cfg), "--powers-dbm", "0,30",
+                "--spacings-over-lambda", "0.1,0.5", "--trials", "3"] + extra
+        assert main(["lb-vs-power"] + args) == 0
+        lb = capsys.readouterr().out
+        assert main(["mc-rmse"] + args) == 0
+        assert capsys.readouterr().out == lb
+        assert lb.splitlines()[0].endswith(",rmse")
+
+
+class TestNonFiniteQuadrature:
+    """An integrand that overflows or divides by zero gives a non-finite
+    estimate, which fails at once, silently (Tier-1 turns warnings into
+    errors), with exit code 3."""
+
+    @pytest.mark.parametrize("d", ["1e-300", "1e300"])
+    def test_fails_at_first_estimate(self, monkeypatch, capsys, d):
+        estimates = counting_wrapper(monkeypatch, impedance, "_tensor_estimate")
+        assert main(["impedance-sweep", "--distances-over-lambda", d]) == 3
+        assert len(estimates) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "at order 16 is not finite at (rho1, rho2)" in err
+
+    def test_sweep_names_grid_point_and_pair(self, capsys):
+        assert main(["bias-vs-spacing", "--spacings-over-lambda", "1e-300",
+                     "--sizes", "2x2"]) == 3
+        assert capsys.readouterr().err.startswith(
+            "ris-mcrb: numerical failure: spacing 1e-300 lambda, size 2x2: "
+            "element pair (0,1): ")

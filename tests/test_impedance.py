@@ -246,6 +246,25 @@ class TestImpedanceMatrix:
             impedance_matrix(elems, C28)
 
 
+    def test_error_annotated_with_self_term(self):
+        # half-wavelength elements are resonant, so the first self term fails
+        elems = [element(h=LAM / 2.0), element(x=0.5 * LAM, h=LAM / 2.0)]
+        with pytest.raises(ResonanceError, match=r"^element 0 self term: sin"):
+            impedance_matrix(elems, C28)
+
+    def test_annotation_keeps_convergence_estimates(self, monkeypatch):
+        # the self term, at one wire radius (lambda/500), converges at the
+        # third refinement; stop after two
+        impedance._pair_impedance.cache_clear()
+        monkeypatch.setattr(impedance, "MAX_REFINEMENTS", 2)
+        with pytest.raises(QuadratureConvergenceError,
+                           match=r"^element 0 self term: ") as exc_info:
+            impedance_matrix([element()], C28)
+        previous, latest = exc_info.value.previous, exc_info.value.latest
+        assert previous != latest
+        assert f"last estimates {complex(previous)} and {complex(latest)}" in str(exc_info.value)
+
+
 class TestCouplingVector:
     def grid_elements(self, d):
         return [element(x=(i - 1.5) * d, y=(j - 1.5) * d)
@@ -265,6 +284,12 @@ class TestCouplingVector:
         line = [element(x=(1.0 + k) * LAM) for k in range(5)]
         mags = np.abs(coupling_vector(antenna, line, C28))
         assert all(a > b for a, b in zip(mags, mags[1:]))
+
+    def test_error_annotated_with_element(self):
+        # the antenna sits on element 1's axis, overlapping it
+        elems = [element(), element(x=LAM)]
+        with pytest.raises(DegenerateGeometryError, match=r"^element 1 to antenna: "):
+            coupling_vector(element(x=LAM, z=H), elems, C28)
 
     def test_mirrored_antenna_permutes_vector(self):
         elems = self.grid_elements(0.3 * LAM)
