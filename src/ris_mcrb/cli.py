@@ -9,23 +9,24 @@ kind and runner, so ``_run`` builds every request in one place.
 Exit codes: 0 success, 2 config/validation error, 3 numerical failure
 (singular systems, non-convergent quadrature), 4 I/O failure.
 
-Each ``main`` call runs every loaded OpenBLAS runtime single-threaded and
-restores the runtimes' thread counts when it returns. The BLAS calls of a
-sweep are small, so worker pools only contend for cores, and a threaded
-reduction may sum in another order: pinned, the CSV bytes do not depend on
-the host's core count or on ``OPENBLAS_NUM_THREADS``.
+Each ``main`` call, like each sweep runner inside it, runs every loaded
+OpenBLAS runtime single-threaded and restores the runtimes' thread counts
+when it returns. The spacing sweeps spread their spacings over one worker
+process per usable CPU, and the BLAS calls of a grid point are small, so
+BLAS threads would only oversubscribe the cores; a threaded reduction may
+also sum in another order. Pinned, the CSV bytes depend neither on the
+host's core count nor on ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import ctypes
 import dataclasses
 import os
 import re
 import sys
 
+from ._blas import single_threaded_blas
 from .errors import ComputationError, ConfigError
 from .experiments import (
     DEFAULT_CRLB_POWER_DBM,
@@ -71,6 +72,12 @@ def _size_list(text: str) -> list[tuple[int, int]]:
     return sizes
 
 
+def _listed(values) -> str:
+    """A default grid as the comma list its flag takes."""
+    return ",".join(f"{v[0]}x{v[1]}" if isinstance(v, tuple) else f"{v:g}"
+                    for v in values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="scenario config (YAML)")
@@ -81,9 +88,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     power = argparse.ArgumentParser(add_help=False)
     power.add_argument("--powers-dbm", dest="power_grid", type=_float_list,
-                       default=DEFAULT_POWER_GRID_DBM, metavar="LIST")
+                       default=DEFAULT_POWER_GRID_DBM, metavar="LIST",
+                       help="transmit powers in dBm "
+                            f"(default: {_listed(DEFAULT_POWER_GRID_DBM)})")
     power.add_argument("--spacings-over-lambda", dest="spacing_grid",
-                       type=_float_list, default=DEFAULT_LB_SPACINGS, metavar="LIST")
+                       type=_float_list, default=DEFAULT_LB_SPACINGS, metavar="LIST",
+                       help="RIS element spacings in wavelengths, one curve each "
+                            f"(default: {_listed(DEFAULT_LB_SPACINGS)})")
     power.add_argument("--matched", action="store_true",
                        help="estimate with the coupling-aware model")
     power.add_argument("--dump-model", metavar="DIR",
@@ -91,8 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     spacing = argparse.ArgumentParser(add_help=False)
     spacing.add_argument("--spacings-over-lambda", dest="spacing_grid",
-                         type=_float_list, default=DEFAULT_SPACING_GRID, metavar="LIST")
-    spacing.add_argument("--sizes", type=_size_list, default=DEFAULT_SIZES, metavar="LIST")
+                         type=_float_list, default=DEFAULT_SPACING_GRID, metavar="LIST",
+                         help="RIS element spacings in wavelengths "
+                              f"(default: {_listed(DEFAULT_SPACING_GRID)})")
+    spacing.add_argument("--sizes", type=_size_list, default=DEFAULT_SIZES, metavar="LIST",
+                         help="RIS sizes as N1xN2, one curve each "
+                              f"(default: {_listed(DEFAULT_SIZES)})")
 
     parser = argparse.ArgumentParser(
         prog="ris-mcrb",
@@ -103,12 +118,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("impedance-sweep", parents=[common],
                        help="two-element mutual impedance vs separation")
     p.add_argument("--distances-over-lambda", type=_float_list,
-                   default=DEFAULT_SPACING_GRID, metavar="LIST")
+                   default=DEFAULT_SPACING_GRID, metavar="LIST",
+                   help="element separations in wavelengths "
+                        f"(default: {_listed(DEFAULT_SPACING_GRID)})")
 
     p = sub.add_parser("lb-vs-power", parents=[common, power],
                        help="mismatched bound (and optional RMSE) vs transmit power")
     p.add_argument("--trials", type=int, default=0, metavar="N",
-                   help="Monte-Carlo trials per point (0 = bounds only)")
+                   help="Monte-Carlo trials per point (default: 0, bounds only)")
     p.set_defaults(kind="lb_vs_power", runner=run_lb_vs_power)
 
     p = sub.add_parser("bias-vs-spacing", parents=[common, spacing],
@@ -118,12 +135,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crlb-vs-spacing", parents=[common, spacing],
                        help="matched bound vs element spacing at fixed power")
     p.add_argument("--power-dbm", type=float, default=DEFAULT_CRLB_POWER_DBM,
-                   metavar="P")
+                   metavar="P", help="transmit power in dBm "
+                                     f"(default: {DEFAULT_CRLB_POWER_DBM:g})")
     p.set_defaults(kind="crlb_vs_spacing", runner=run_crlb_vs_spacing)
 
     p = sub.add_parser("mc-rmse", parents=[common, power],
                        help="Monte-Carlo estimator RMSE alongside the bounds")
-    p.add_argument("--trials", type=int, default=500, metavar="N")
+    p.add_argument("--trials", type=int, default=500, metavar="N",
+                   help="Monte-Carlo trials per point (default: %(default)s)")
     p.add_argument("--noiseless", action="store_true",
                    help="suppress observation noise (deterministic residual)")
     p.set_defaults(kind="mc_rmse", runner=run_mc_rmse)
@@ -182,61 +201,9 @@ def _run(args):
     return args.runner(request)
 
 
-# (prefix, suffix) of the thread-count functions, in lookup order: upstream
-# OpenBLAS, and the LP64 and ILP64 builds that scipy and numpy wheels ship
-_OPENBLAS_NAMES = (("openblas_", ""), ("scipy_openblas_", ""),
-                   ("scipy_openblas_", "64_"))
-
-
-def _openblas_thread_controls():
-    """``(get, set)`` thread-count functions of each loaded OpenBLAS runtime.
-
-    The runtimes are the shared objects named like OpenBLAS in
-    ``/proc/self/maps``; where that file cannot be read, there are none.
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8",
-                  errors="surrogateescape") as fh:
-            # the pathname, where a line has one, is its sixth field
-            mapped = {line.split(maxsplit=5)[-1].rstrip("\n") for line in fh}
-    except OSError:
-        return []
-    controls = []
-    for path in sorted(p for p in mapped if "openblas" in os.path.basename(p).lower()):
-        try:
-            # NOLOAD: only ever attach to an object that is already mapped
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOW | os.RTLD_NOLOAD)
-        except OSError:
-            continue
-        for prefix, suffix in _OPENBLAS_NAMES:
-            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                set_.restype, set_.argtypes = None, [ctypes.c_int]
-                controls.append((get, set_))
-                break
-    return controls
-
-
-@contextlib.contextmanager
-def _single_threaded_blas():
-    """Set every loaded OpenBLAS runtime to one thread, then restore each
-    runtime's previous count."""
-    controls = _openblas_thread_controls()
-    saved = [get() for get, _ in controls]
-    try:
-        for _, set_ in controls:
-            set_(1)
-        yield
-    finally:
-        for (_, set_), count in zip(controls, saved):
-            set_(count)
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    with _single_threaded_blas():
+    with single_threaded_blas():
         args = build_parser().parse_args(_fold_negative_lists(argv))
         try:
             result = _run(args)

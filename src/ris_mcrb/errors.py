@@ -16,7 +16,14 @@ class ConfigError(RisMcrbError):
 
 
 class ComputationError(RisMcrbError):
-    """A numerical operation could not produce a trustworthy result."""
+    """A numerical operation could not produce a trustworthy result.
+
+    Pickling keeps the type, the (possibly annotated) message and the
+    payload attributes without calling ``__init__``, so a failure raised in
+    a worker process reaches the caller unchanged."""
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self.args), self.__dict__
 
 
 class DegenerateGeometryError(ComputationError):
@@ -53,6 +60,12 @@ class DegenerateDesignError(ComputationError):
     def __init__(self, message, rcond=None):
         super().__init__(message)
         self.rcond = rcond
+
+
+def _rebuild(cls, args):
+    exc = cls.__new__(cls)
+    exc.args = args
+    return exc
 
 
 def annotate(exc: ComputationError, label: str) -> ComputationError:

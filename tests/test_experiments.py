@@ -1,7 +1,10 @@
 import csv
 import ctypes
 import io
+import multiprocessing
 import os
+import pickle
+import time
 import weakref
 
 import numpy as np
@@ -11,7 +14,15 @@ from ris_mcrb import bounds, channel, cli, experiments, impedance
 from ris_mcrb.bounds import bias_trace, crlb, lower_bound, mc_rmse
 from ris_mcrb.channel import model_pair, noise_seed, sample_loads
 from ris_mcrb.cli import main
-from ris_mcrb.errors import ComputationError, DegenerateDesignError
+from ris_mcrb.errors import (
+    ComputationError,
+    DegenerateDesignError,
+    DegenerateGeometryError,
+    QuadratureConvergenceError,
+    ResonanceError,
+    SingularModelError,
+    annotate,
+)
 from ris_mcrb.experiments import (
     SweepRequest,
     SweepResult,
@@ -291,6 +302,17 @@ def power_request(scenario, runner, **kwargs):
     return SweepRequest(kind=kind, scenario=scenario, **kwargs)
 
 
+def inline_sweeps(monkeypatch):
+    """Run every sweep task in this process, where a test can count its
+    calls: ``_parallel_map`` then sees a single usable CPU."""
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+
+
+def pooled_sweeps(monkeypatch):
+    """Spread every sweep over two forked workers, even on one CPU."""
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+
+
 def counting_wrapper(monkeypatch, module, name):
     """Replace module.name by a wrapper that records one entry per call,
     or per item for a generator function; return the record list."""
@@ -349,6 +371,7 @@ class TestPowerSweepSharing:
     @pytest.mark.parametrize("matched", [False, True])
     def test_one_factorization_per_spacing(self, small_scenario, monkeypatch,
                                            matched):
+        inline_sweeps(monkeypatch)
         qrs = counting_wrapper(monkeypatch, bounds, "qr")
         streams = counting_wrapper(monkeypatch, bounds, "trial_generators")
         request = power_request(small_scenario, run_mc_rmse,
@@ -356,10 +379,11 @@ class TestPowerSweepSharing:
                                 spacing_grid=self.SPACINGS, trials=3,
                                 matched=matched)
         assert len(run_mc_rmse(request).rows) == 12
-        assert len(qrs) <= (1 if matched else 2) * len(self.SPACINGS)
+        assert 0 < len(qrs) <= (1 if matched else 2) * len(self.SPACINGS)
         assert len(streams) == 3 * len(self.POWERS)
 
     def test_noiseless_builds_no_streams(self, small_scenario, monkeypatch):
+        inline_sweeps(monkeypatch)
         streams = counting_wrapper(monkeypatch, bounds, "trial_generators")
         request = power_request(small_scenario, run_mc_rmse, power_grid=[30.0],
                                 spacing_grid=[0.1, 0.5], trials=3,
@@ -410,10 +434,11 @@ class TestOnePairPerPoint:
     @pytest.mark.parametrize("runner", [run_bias_vs_spacing, run_crlb_vs_spacing])
     def test_one_factorization_per_point(self, small_scenario, monkeypatch,
                                          runner):
+        inline_sweeps(monkeypatch)
         qrs = counting_wrapper(monkeypatch, bounds, "qr")
         rows = runner(self.spacing_request(small_scenario, runner)).rows
         assert len(rows) == len(self.SPACINGS) * len(self.SIZES)
-        assert len(qrs) == len(rows)
+        assert len(qrs) == len(rows) > 0
 
     @pytest.mark.parametrize("runner,unread", [(run_bias_vs_spacing, 0),
                                                (run_crlb_vs_spacing, 1)])
@@ -463,6 +488,7 @@ class TestOnePairPerPoint:
     @pytest.mark.parametrize("runner", [run_bias_vs_spacing, run_crlb_vs_spacing])
     def test_models_freed_before_next_point(self, small_scenario, monkeypatch,
                                             runner):
+        inline_sweeps(monkeypatch)
         build = experiments._build_point
         refs = []
 
@@ -474,7 +500,7 @@ class TestOnePairPerPoint:
 
         monkeypatch.setattr(experiments, "_build_point", tracking)
         rows = runner(self.spacing_request(small_scenario, runner)).rows
-        assert len(refs) == 2 * len(rows)
+        assert len(refs) == 2 * len(rows) > 0
 
 
 class TestImpedanceSweep:
@@ -659,7 +685,7 @@ class TestCli:
             for _, set_ in blas_runtimes:
                 set_(threads)
             # recompute every impedance under this thread count
-            impedance._pair_impedance.cache_clear()
+            impedance._PAIR_MEMO.clear()
             out = tmp_path / f"threads{threads}.csv"
             assert main(argv + ["--out", str(out)]) == 0
             outputs.append(out.read_bytes())
@@ -704,7 +730,7 @@ class TestCli:
         assert "numerical failure" in capsys.readouterr().err
         # side-by-side wires 1e-4 lambda apart exhaust the quadrature rule;
         # fewer refinements reach the same failure sooner
-        impedance._pair_impedance.cache_clear()
+        impedance._PAIR_MEMO.clear()
         monkeypatch.setattr(impedance, "MAX_REFINEMENTS", 3)
         assert main(["impedance-sweep", "--distances-over-lambda", "1e-4"]) == 3
         err = capsys.readouterr().err
@@ -881,3 +907,209 @@ class TestNonFiniteQuadrature:
         assert capsys.readouterr().err.startswith(
             "ris-mcrb: numerical failure: spacing 1e-300 lambda, size 2x2: "
             "element pair (0,1): ")
+
+
+class TestParallelSweeps:
+    """Grid points spread over forked workers give the serial loop's rows,
+    failures, pair memo and BLAS thread counts."""
+
+    CONFIG = TestCli.CONFIG
+
+    def requests(self, scenario):
+        power = dict(scenario=scenario, power_grid=[0.0, 40.0],
+                     spacing_grid=[0.05, 0.2, 0.5])
+        spacing = dict(scenario=scenario, spacing_grid=[0.05, 0.2, 0.5],
+                       sizes=[(2, 2), (3, 2)])
+        return [
+            (run_lb_vs_power, SweepRequest(kind="lb_vs_power", **power)),
+            (run_lb_vs_power, SweepRequest(kind="lb_vs_power", trials=4, **power)),
+            (run_mc_rmse, SweepRequest(kind="mc_rmse", trials=4, **power)),
+            (run_mc_rmse, SweepRequest(kind="mc_rmse", trials=4, matched=True,
+                                       **power)),
+            (run_mc_rmse, SweepRequest(kind="mc_rmse", trials=2, noiseless=True,
+                                       **power)),
+            (run_bias_vs_spacing, SweepRequest(kind="bias_vs_spacing", **spacing)),
+            (run_crlb_vs_spacing, SweepRequest(kind="crlb_vs_spacing",
+                                               power_grid=[40.0], **spacing)),
+        ]
+
+    def test_pooled_rows_equal_inline_rows(self, small_scenario, monkeypatch):
+        for runner, request in self.requests(small_scenario):
+            inline_sweeps(monkeypatch)
+            inline = runner(request).rows
+            pooled_sweeps(monkeypatch)
+            impedance._PAIR_MEMO.clear()
+            pooled = runner(request).rows
+            assert pooled == inline, request
+            assert pooled
+
+    def test_workers_run_blas_single_threaded(self, monkeypatch, blas_runtimes):
+        pooled_sweeps(monkeypatch)
+        for _, set_ in blas_runtimes:
+            set_(2)
+        counts = experiments._parallel_map(
+            lambda i: [get() for get, _ in blas_runtimes], 2)
+        assert counts == [[1] * len(blas_runtimes)] * 2
+
+    def test_first_failing_spacing_raises(self, small_scenario, monkeypatch):
+        # every point fails, the first spacing last in time; the error must
+        # still name it, as the serial loop would
+        request = SweepRequest(kind="bias_vs_spacing", scenario=small_scenario,
+                               spacing_grid=[0.05, 0.2, 0.5], sizes=[(2, 2)])
+        spoiled_builder(monkeypatch, 1)
+        spoiled = experiments._build_point
+
+        def slow_first(scenario, d, n1, n2):
+            if d == 0.05:
+                time.sleep(0.2)
+            return spoiled(scenario, d, n1, n2)
+
+        monkeypatch.setattr(experiments, "_build_point", slow_first)
+        pooled_sweeps(monkeypatch)
+        for _ in range(5):
+            with pytest.raises(DegenerateDesignError,
+                               match=r"^spacing 0\.05 lambda, size 2x2: ") as exc_info:
+                run_bias_vs_spacing(request)
+            assert exc_info.value.rcond < channel.RCOND_FLOOR
+            assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_sweep(self, small_scenario, monkeypatch):
+        pooled_sweeps(monkeypatch)
+        for runner, request in self.requests(small_scenario):
+            runner(request)
+            assert multiprocessing.active_children() == []
+
+    def test_pooled_sweep_fills_the_callers_memo(self, small_scenario, monkeypatch):
+        request = SweepRequest(kind="bias_vs_spacing", scenario=small_scenario,
+                               spacing_grid=[0.05, 0.2, 0.5], sizes=[(2, 2), (3, 2)])
+
+        def memo_after(spread):
+            spread(monkeypatch)
+            impedance._PAIR_MEMO.clear()
+            run_bias_vs_spacing(request)
+            return {key: (np.array(entry[:2], dtype=complex).tobytes(), entry[2])
+                    for key, entry in impedance._PAIR_MEMO.items()}
+
+        inline = memo_after(inline_sweeps)
+        assert inline
+        assert memo_after(pooled_sweeps) == inline
+
+    def test_memo_drops_oldest_entries_beyond_its_bound(self, monkeypatch):
+        monkeypatch.setattr(impedance, "_PAIR_MEMO_SIZE", 2)
+        monkeypatch.setattr(impedance, "_PAIR_MEMO", {})
+        impedance._remember_pairs([("a", 1), ("b", 2), ("c", 3)])
+        impedance._remember_pairs([("b", 4)])
+        assert impedance._PAIR_MEMO == {"b": 4, "c": 3}
+
+    @pytest.mark.parametrize("argv,code", [
+        (["bias-vs-spacing", "--spacings-over-lambda", "0.2,0.5", "--sizes", "2x2"], 0),
+        (["bias-vs-spacing", "--spacings-over-lambda", "0.5,0.2"], 2),
+        (["crlb-vs-spacing", "--spacings-over-lambda", "1e-300,0.5", "--sizes", "2x2"], 3),
+        (["bias-vs-spacing", "--spacings-over-lambda", "0.2,0.5", "--sizes", "2x2",
+          "--out", "no/such/dir/out.csv"], 4),
+    ], ids=["exit-0", "exit-2", "exit-3", "exit-4"])
+    def test_no_process_outlives_the_cli(self, tmp_path, monkeypatch, capsys,
+                                         argv, code):
+        pooled_sweeps(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "scenario.yaml").write_text(self.CONFIG)
+        if "--out" not in argv:
+            argv = argv + ["--out", os.devnull]
+        assert main(argv + ["--config", "scenario.yaml"]) == code
+        assert multiprocessing.active_children() == []
+        capsys.readouterr()
+
+    def test_quadrature_failure_crosses_the_pool(self, monkeypatch, capsys):
+        # side-by-side wires 1e-4 lambda apart exhaust a three-refinement
+        # rule in a worker; the failure reaches the CLI's exit code 3
+        pooled_sweeps(monkeypatch)
+        monkeypatch.setattr(impedance, "MAX_REFINEMENTS", 3)
+        impedance._PAIR_MEMO.clear()
+        assert main(["bias-vs-spacing", "--spacings-over-lambda", "1e-4,0.5",
+                     "--sizes", "2x2", "--out", os.devnull]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("ris-mcrb: numerical failure: spacing 0.0001 lambda")
+        assert "did not converge" in err
+
+    def test_runner_outside_cli_pins_and_restores_blas(self, tmp_path, monkeypatch,
+                                                       blas_runtimes):
+        pooled_sweeps(monkeypatch)
+        argv = ["bias-vs-spacing", "--spacings-over-lambda", "0.02,0.5",
+                "--sizes", "4x4"]
+        out = tmp_path / "cli.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        seen = []
+        build = experiments._build_point
+
+        def spy(*args):
+            seen.append([get() for get, _ in blas_runtimes])
+            return build(*args)
+
+        monkeypatch.setattr(experiments, "_build_point", spy)
+        inline_sweeps(monkeypatch)
+        # 3 differs from the single-threaded pin and from a 2-core default
+        for _, set_ in blas_runtimes:
+            set_(3)
+        impedance._PAIR_MEMO.clear()
+        request = SweepRequest(kind="bias_vs_spacing",
+                               scenario=scenario_from_config({}),
+                               spacing_grid=[0.02, 0.5], sizes=[(4, 4)])
+        text = csv_text(run_bias_vs_spacing(request))
+        assert [get() for get, _ in blas_runtimes] == [3] * len(blas_runtimes)
+        assert seen == [[1] * len(blas_runtimes)] * 2
+        assert text == out.read_text()
+
+
+def computation_errors():
+    """One annotated instance of every ComputationError class, with payload."""
+    return [
+        annotate(ComputationError("estimate is not finite"), "element 0 self term"),
+        annotate(DegenerateGeometryError("wires overlap"), "element pair (0,1)"),
+        annotate(ResonanceError("sin(k0*h) is zero"), "spacing 1.5 lambda"),
+        annotate(QuadratureConvergenceError("did not converge",
+                                            previous=np.complex128(1 + 2j),
+                                            latest=np.complex128(1 + 2.5j)),
+                 "spacing 0.0001 lambda, size 2x2"),
+        annotate(SingularModelError("singular", rcond=1e-18), "spacing 0.002 lambda"),
+        annotate(DegenerateDesignError("rank deficient", rcond=2e-17),
+                 "spacing 0.05 lambda"),
+    ]
+
+
+@pytest.mark.parametrize("exc", computation_errors(),
+                         ids=lambda exc: type(exc).__name__)
+def test_computation_errors_pickle(exc):
+    # a worker's failure reaches the caller through pickle
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc) and back.args == exc.args
+    assert vars(back) == vars(exc)
+
+
+def test_computation_error_classes_all_checked():
+    def subclasses(cls):
+        return {cls} | {sub for direct in cls.__subclasses__()
+                        for sub in subclasses(direct)}
+
+    assert {type(exc) for exc in computation_errors()} == subclasses(ComputationError)
+
+
+@pytest.mark.parametrize("command,defaults", [
+    ("impedance-sweep", ["--distances-over-lambda", "(default: "
+                         "0.002,0.005,0.01,0.02,0.05,0.1,0.2,0.5,1,2.5)"]),
+    ("lb-vs-power", ["(default: -10,0,10,20,30,40,50,60,70,80)",
+                     "(default: 0.02,0.1,0.5)", "(default: 0, bounds only)"]),
+    ("mc-rmse", ["(default: -10,0,10,20,30,40,50,60,70,80)",
+                 "(default: 0.02,0.1,0.5)", "(default: 500)"]),
+    ("bias-vs-spacing", ["(default: 0.002,0.005,0.01,0.02,0.05,0.1,0.2,0.5,1,2.5)",
+                         "(default: 4x4,8x8,12x12)"]),
+    ("crlb-vs-spacing", ["(default: 0.002,0.005,0.01,0.02,0.05,0.1,0.2,0.5,1,2.5)",
+                         "(default: 4x4,8x8,12x12)", "(default: 40)"]),
+])
+def test_help_names_grid_defaults(capsys, command, defaults):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for default in defaults:
+        assert default in text

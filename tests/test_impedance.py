@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from ris_mcrb import impedance
+from ris_mcrb import experiments, impedance
 from ris_mcrb.errors import (
     DegenerateGeometryError,
     QuadratureConvergenceError,
@@ -153,7 +153,7 @@ class TestMutualImpedance:
 
     def test_convergence_error_carries_estimates(self, monkeypatch):
         # 0.002 lambda converges at the third refinement; stop after two
-        impedance._pair_impedance.cache_clear()
+        impedance._PAIR_MEMO.clear()
         monkeypatch.setattr(impedance, "MAX_REFINEMENTS", 2)
         with pytest.raises(QuadratureConvergenceError) as exc_info:
             mutual_impedance(element(), element(x=0.002 * LAM), C28)
@@ -255,7 +255,7 @@ class TestImpedanceMatrix:
     def test_annotation_keeps_convergence_estimates(self, monkeypatch):
         # the self term, at one wire radius (lambda/500), converges at the
         # third refinement; stop after two
-        impedance._pair_impedance.cache_clear()
+        impedance._PAIR_MEMO.clear()
         monkeypatch.setattr(impedance, "MAX_REFINEMENTS", 2)
         with pytest.raises(QuadratureConvergenceError,
                            match=r"^element 0 self term: ") as exc_info:
@@ -360,7 +360,7 @@ def integrations(monkeypatch):
         calls.append(args)
         return integrate(*args)
 
-    impedance._pair_impedance.cache_clear()
+    impedance._PAIR_MEMO.clear()
     monkeypatch.setattr(impedance, "_integrate", counting)
     return calls
 
@@ -387,10 +387,12 @@ class TestPairMemo:
         # element (i, j) and its mirror image (3 - i, j) share one geometry
         assert len(integrations) == 8
         for n, elem in enumerate(elems):
-            impedance._pair_impedance.cache_clear()
+            impedance._PAIR_MEMO.clear()
             assert vec[n] == mutual_impedance(elem, antenna, C28)
 
-    def test_sweep_csv_independent_of_memo_state(self, integrations):
+    def test_sweep_csv_independent_of_memo_state(self, integrations, monkeypatch):
+        # every point in this process, where its quadratures are counted
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
         sc = scenario_from_config({"ris_n1": 2, "ris_n2": 2,
                                    "num_transmissions": 16})
 
@@ -401,7 +403,8 @@ class TestPairMemo:
 
         cold = bias_csv([0.1, 0.5], [(2, 2)])
         cold_count = len(integrations)
-        impedance._pair_impedance.cache_clear()
+        assert cold_count > 0
+        impedance._PAIR_MEMO.clear()
         # a different sweep that shares the 0.1 lambda pair geometries
         bias_csv([0.05, 0.1], [(2, 2), (3, 3)])
         warmed_at = len(integrations)
