@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import get_lapack_funcs, qr
 
-from .channel import RCOND_FLOOR, _complex_form, complexify_vec, realify_vec, trial_generators
+from .channel import RCOND_FLOOR, _complex_form, realify_vec, trial_generators
 from .errors import DegenerateDesignError
 from .scenario import Scenario
 
@@ -268,6 +268,21 @@ def mc_rmse(
                          trials, noise_seed, noiseless=noiseless)[0]
 
 
+def _trial_noises(scenario: Scenario, observations: int, trials: int,
+                  noise_seed: np.random.SeedSequence):
+    """Each trial's complex noise, drawn as ``2 * observations`` standard
+    normals in the stacked [Re; Im] order of the real form. One buffer is
+    reused: a yielded array is valid only until the next one."""
+    sigma = math.sqrt(scenario.noise.sigma2 / 2.0)
+    draws = np.empty(2 * observations)
+    noise = np.empty(observations, dtype=complex)
+    for rng in trial_generators(noise_seed, trials):
+        rng.standard_normal(out=draws)
+        np.multiply(draws[:observations], sigma, out=noise.real)
+        np.multiply(draws[observations:], sigma, out=noise.imag)
+        yield noise
+
+
 def mc_rmse_pairs(
     scenario: Scenario,
     pairs: list[FactoredPair],
@@ -281,7 +296,8 @@ def mc_rmse_pairs(
     inside, so each trial's noise is drawn once and added to every pair's
     mean. Each pair keeps its own running total in trial order, so its
     result equals (``==``) the separate ``mc_rmse`` call on that pair. The
-    pairs must share the number of observations."""
+    pairs must share the number of observations; a ``ValueError`` naming
+    both counts is raised before any draw otherwise."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not p_t > 0.0:
@@ -290,16 +306,17 @@ def mc_rmse_pairs(
         noise_seed = np.random.SeedSequence(int(noise_seed))
 
     models = [pair._trial_model for pair in pairs]
+    counts = [signal.shape[0] for _, signal, _ in models]
+    for k, count in enumerate(counts):
+        if count != counts[0]:
+            raise ValueError(f"pairs must share the number of observations: "
+                             f"pair 0 has {counts[0]}, pair {k} has {count}")
     means = [np.sqrt(p_t) * signal for _, signal, _ in models]
     sqrt_pt = math.sqrt(p_t)
     if noiseless:
         noises = itertools.repeat(None, trials)
     else:
-        sigma = math.sqrt(scenario.noise.sigma2 / 2.0)
-        size = 2 * means[0].shape[0]
-        # one draw per trial in the stacked [Re; Im] order of the real form
-        noises = (complexify_vec(sigma * rng.standard_normal(size))
-                  for rng in trial_generators(noise_seed, trials))
+        noises = _trial_noises(scenario, counts[0], trials, noise_seed)
 
     totals = [0.0] * len(models)
     for noise in noises:

@@ -19,7 +19,10 @@ otherwise through an LAPACK LU factorization with a 1-norm reciprocal
 condition estimate. Every guard rejects a configuration below
 ``RCOND_FLOOR``; nothing in production paths forms an explicit inverse.
 RNG streams are derived from a master seed with fixed spawn keys so that
-load sampling and noise generation never share or reorder draws.
+load sampling and noise generation never share or reorder draws. Trial t
+of a power draws from numpy's ``SeedSequence(entropy, spawn_key + (t,))``
+child of that power's noise sequence; ``trial_generators`` derives the
+children's PCG64 states in bulk and reuses one generator per call.
 """
 
 from __future__ import annotations
@@ -39,6 +42,20 @@ NOISE_STREAM = 1
 
 # Offset that keeps value-derived spawn keys non-negative.
 _KEY_OFFSET = 2 ** 31
+
+# numpy's SeedSequence hash and mix constants, its default pool size, and
+# PCG64's 128-bit LCG multiplier: the seeding that NEP 19 keeps stable and
+# trial_generators reproduces in bulk.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_POOL_SIZE = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = 2 ** 128 - 1
+# Trials per batch of stream states that trial_generators derives at once,
+# so its memory does not grow with the trial count.
+TRIAL_CHUNK = 4096
 
 # Reciprocal condition estimate below which a system is treated as singular.
 RCOND_FLOOR = 1e-13
@@ -72,12 +89,85 @@ def noise_seed(master_seed: int, power_dbm: float) -> np.random.SeedSequence:
     return np.random.SeedSequence(master_seed, spawn_key=(NOISE_STREAM, key))
 
 
+def _uint32_words(value) -> int:
+    """Number of uint32 words ``SeedSequence`` makes of an entropy or
+    spawn-key value: an int, or a sequence of them."""
+    if isinstance(value, (int, np.integer)):
+        return max(1, (int(value).bit_length() + 31) // 32)
+    return sum(_uint32_words(v) for v in value)
+
+
+def _hash(words: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hash of the uint32 ``words`` under the hash constant
+    ``const``, which advances by ``mult``; returns the hashed words and the
+    advanced constant."""
+    value = words ^ np.uint32(const)
+    const = const * mult % 2 ** 32
+    value *= np.uint32(const)
+    return value ^ (value >> _XSHIFT), const
+
+
+def _trial_states(seq: np.random.SeedSequence, start: int, stop: int) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of the children ``SeedSequence(seq.entropy,
+    spawn_key=seq.spawn_key + (t,))`` for ``start <= t < stop``.
+
+    Every child mixes the same entropy words as the parent built from
+    ``seq.entropy`` and ``seq.spawn_key`` at the default pool size (which
+    the children have too), then the trial word ``t``. So the parent's
+    pool is each child's pool before ``t``, and the hash constant there has
+    advanced once per hash call: mixing ``n >= 4`` words (the entropy is
+    zero-padded to the pool size) takes ``4 + 12 + 4 (n - 4) = 4 n`` calls.
+    The rest, mixing ``t`` into the four pool words and ``generate_state(4,
+    uint64)``, runs on uint32 vectors over the trials; PCG64's ``srandom``
+    step then runs on Python ints.
+    """
+    parent = np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key)
+    words = max(_uint32_words(seq.entropy), _POOL_SIZE) + _uint32_words(seq.spawn_key)
+    hash_a = _INIT_A * pow(_MULT_A, _POOL_SIZE * words, 2 ** 32) % 2 ** 32
+    t = np.arange(start, stop, dtype=np.uint32)
+    pool = []
+    for word in parent.pool.tolist():
+        value, hash_a = _hash(t, hash_a, _MULT_A)
+        mixed = np.uint32(_MIX_MULT_L * word % 2 ** 32) - value * np.uint32(_MIX_MULT_R)
+        pool.append(mixed ^ (mixed >> _XSHIFT))
+    state = np.empty((stop - start, 2 * _POOL_SIZE), dtype="<u4")
+    hash_b = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        state[:, i], hash_b = _hash(pool[i % _POOL_SIZE], hash_b, _MULT_B)
+    # srandom(initstate, initseq): inc = 2 initseq + 1 and
+    # state = (inc + initstate) MULT + inc, both modulo 2**128
+    out = []
+    for s_hi, s_lo, i_hi, i_lo in state.view("<u8").tolist():
+        inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
+        out.append(((((s_hi << 64) | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc))
+    return out
+
+
 def trial_generators(seq: np.random.SeedSequence, trials: int):
-    """Per-trial generators derived from ``seq`` without mutating it."""
-    for t in range(trials):
-        child = np.random.SeedSequence(entropy=seq.entropy,
-                                       spawn_key=tuple(seq.spawn_key) + (t,))
-        yield np.random.default_rng(child)
+    """Per-trial generators derived from ``seq`` without mutating it.
+
+    Trial ``t`` draws the stream of numpy's ``default_rng(SeedSequence(
+    seq.entropy, spawn_key=seq.spawn_key + (t,)))``, bit for bit, but the
+    streams' states are derived in bulk, ``TRIAL_CHUNK`` trials at a time
+    (``_trial_states``). One PCG64 generator is reused for every trial: each
+    yielded generator is valid only until the next one is requested.
+    Raises ``ValueError`` unless ``trials < 2**32``, since the trial index
+    is one uint32 word of the spawn key.
+    """
+    if trials >= 2 ** 32:
+        raise ValueError(f"trials must be < 2**32, got {trials}")
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+
+    def streams():
+        for start in range(0, trials, TRIAL_CHUNK):
+            for pcg_state, inc in _trial_states(seq, start, min(start + TRIAL_CHUNK, trials)):
+                state["state"] = {"state": pcg_state, "inc": inc}
+                bit_generator.state = state
+                yield rng
+
+    return streams()
 
 
 @dataclass(frozen=True)

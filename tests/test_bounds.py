@@ -349,6 +349,17 @@ class TestMcRmse:
         mc_rmse(scenario, d_est, d_true, x, 1.0, 4, 0)
         assert len(made) == 4
 
+    def test_pairs_must_share_observations(self, scenario, model_factory,
+                                            monkeypatch):
+        # the check comes before any noise is drawn
+        def no_streams(seq, trials):
+            raise AssertionError("noise drawn before the pairs were checked")
+
+        monkeypatch.setattr(bounds, "trial_generators", no_streams)
+        pairs = [bounds.FactoredPair(*model_factory(seed=36, g=g)) for g in (12, 9)]
+        with pytest.raises(ValueError, match="pair 0 has 12, pair 1 has 9"):
+            bounds.mc_rmse_pairs(scenario, pairs, 1.0, 3, 0)
+
     def test_noise_layout_oracle(self, scenario, model_factory):
         # real-form reference: each trial's 2G standard normal draws are the
         # stacked [Re; Im] noise of the real block model

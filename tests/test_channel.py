@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from ris_mcrb.channel import (
     build_B,
     complexify_vec,
     model_pair,
+    noise_seed,
     realify,
     realify_vec,
     sample_loads,
     substream,
+    trial_generators,
 )
 from ris_mcrb.errors import SingularModelError
 from ris_mcrb.impedance import build_impedance_set
@@ -78,6 +81,52 @@ class TestSampleLoads:
     def test_loads_strictly_inductive(self):
         sc = scenario_from_config({})
         assert np.all(sample_loads(sc).loads.imag > 0.0)
+
+
+def assert_numpy_children(seq, trials):
+    """Every stream ``trial_generators`` yields has the state and the first
+    draws of numpy's own ``default_rng`` of the per-trial child sequence."""
+    count = 0
+    for t, rng in enumerate(trial_generators(seq, trials)):
+        child = np.random.SeedSequence(seq.entropy, spawn_key=tuple(seq.spawn_key) + (t,))
+        want = np.random.default_rng(child)
+        assert rng.bit_generator.state == want.bit_generator.state, t
+        assert np.array_equal(rng.standard_normal(512), want.standard_normal(512)), t
+        count += 1
+    assert count == trials
+
+
+class TestTrialGenerators:
+    """The bulk derivation reproduces numpy's SeedSequence children."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(entropy=st.one_of(st.integers(0, 2**160),
+                             st.lists(st.integers(0, 2**70), max_size=6)),
+           spawn_key=st.lists(st.integers(0, 2**70), max_size=3),
+           pool_size=st.sampled_from([4, 8]),
+           trials=st.integers(0, 9),
+           chunk=st.integers(1, 4))
+    def test_numpy_oracle(self, entropy, spawn_key, pool_size, trials, chunk):
+        seq = np.random.SeedSequence(entropy, spawn_key=spawn_key, pool_size=pool_size)
+        with mock.patch.object(channel, "TRIAL_CHUNK", chunk):
+            assert_numpy_children(seq, trials)
+
+    @pytest.mark.parametrize("seq", [
+        np.random.SeedSequence(42),  # an int seed: mc_rmse(..., 42)
+        np.random.SeedSequence(2**32 + 5, spawn_key=(1,)),
+        np.random.SeedSequence([7, 2**40, 0]),
+        noise_seed(3, 1e6),  # a spawn key word past 2**32
+        np.random.SeedSequence(9, spawn_key=(1, 2), pool_size=8),
+    ], ids=["int", "entropy-2**32", "sequence", "power-1e6", "pool-8"])
+    def test_named_seeds(self, seq):
+        assert_numpy_children(seq, 6)
+
+    def test_across_a_chunk_boundary(self):
+        assert_numpy_children(noise_seed(0, 30.0), channel.TRIAL_CHUNK + 3)
+
+    def test_trial_index_must_fit_one_word(self):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            trial_generators(noise_seed(0, 30.0), 2**32)
 
 
 def e2e_channel(z_rs, z_ss_total, z_ris_g, z_st) -> complex:

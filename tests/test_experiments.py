@@ -290,6 +290,28 @@ class TestMcRmseSweep:
         ((_, report),) = run_mc_rmse(request).rows
         assert report.rmse is not None
 
+    # rows of the noisy estimator, recorded when every trial stream was
+    # numpy's own default_rng of its child SeedSequence
+    PINNED_ROWS = {
+        False: [(0.0, 0.05, 0.0075862782271745414),
+                (0.0, 0.5, 0.007583199666607451),
+                (40.0, 0.05, 5.7631359965470765e-05),
+                (40.0, 0.5, 5.897689097055313e-05)],
+        True: [(0.0, 0.05, 0.007627555328966842),
+               (0.0, 0.5, 0.007583320882018192),
+               (40.0, 0.05, 5.884269432032651e-05),
+               (40.0, 0.5, 5.897212448465791e-05)],
+    }
+
+    @pytest.mark.parametrize("matched", [False, True])
+    def test_noisy_rows_pinned(self, small_scenario, matched):
+        request = SweepRequest(kind="mc_rmse", scenario=small_scenario,
+                               power_grid=[0.0, 40.0], spacing_grid=[0.05, 0.5],
+                               trials=7, matched=matched)
+        rows = [(v["p_t_dbm"], v["d_over_lambda"], report.rmse)
+                for v, report in run_mc_rmse(request).rows]
+        assert rows == self.PINNED_ROWS[matched]
+
 
 def build_pair(scenario, d):
     sc = scenario.with_overrides(ris_spacing_over_lambda=d)
