@@ -12,6 +12,16 @@ the integrand is smooth. The rule is fixed: each panel is integrated with
 carries the last two estimates. A non-finite estimate can never converge,
 so it raises ``ComputationError`` at once.
 
+An estimate evaluates the integrand on the tensor grid of nodes. The
+parts that depend only on the wavenumber, both half lengths and the
+order (the node differences z - xi, the weights and the current-profile
+tensor) are cached for orders up to ``2 * BASE_ORDER``, which nearly
+every estimate stops at; higher orders build them per estimate, so no
+large tensor outlives its estimate. The kernel is evaluated in real
+arithmetic on the real and imaginary parts, with the roundings numpy's
+complex loops apply to the same formula, so every estimate equals the
+plain complex expression bit for bit.
+
 The self-impedance case evaluates the same kernel with the source point
 displaced to the wire surface (radial offset = wire radius, no axial
 offset), which is the standard surface-current approximation for thin
@@ -24,7 +34,8 @@ Every self, mutual and coupling impedance goes through one pair
 evaluation, memoized per process within a fixed bound on the exact
 geometry (wavenumber, eta0, half lengths, offsets): a geometry seen
 before, in this call or an earlier one, reuses its quadrature bit for
-bit. The memo is a plain dict that drops its oldest entries first, so a
+bit. ``impedance_matrix`` looks up each distinct element offset once.
+The memo is a plain dict that drops its oldest entries first, so a
 sweep that integrates in worker processes can merge their new entries
 back into the caller's memo. Failures are never memoized; they raise each
 time.
@@ -32,7 +43,6 @@ time.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -85,30 +95,74 @@ def _split_axis(h: float, order: int):
     return nodes, weights
 
 
+def _build_node_grid(k0, hp, hq, order):
+    """The parts of a tensor estimate that do not depend on the offsets:
+    the node differences z - xi, the weights of both axes and the current
+    profile tensor s(xi) s(z) / (sin(k0 hp) sin(k0 hq))."""
+    xi, w_xi = _split_axis(hp, order)
+    z, w_z = _split_axis(hq, order)
+    grid = z[None, :] - xi[:, None]
+    profile = np.sin(k0 * (hp - np.abs(xi)))[:, None] * np.sin(k0 * (hq - np.abs(z)))[None, :]
+    profile /= math.sin(k0 * hp) * math.sin(k0 * hq)
+    for arr in (grid, w_xi, w_z, profile):
+        arr.flags.writeable = False
+    return grid, w_xi, w_z, profile
+
+
+# Orders up to 2 * BASE_ORDER cover nearly every estimate (most pairs
+# converge at the first refinement); an entry at order 1024 would hold
+# two 32 MB tensors, so higher orders build their grid per estimate.
+_cached_node_grid = lru_cache(maxsize=16)(_build_node_grid)
+
+
+def _node_grid(k0, hp, hq, order):
+    if order <= 2 * BASE_ORDER:
+        return _cached_node_grid(k0, hp, hq, order)
+    return _build_node_grid(k0, hp, hq, order)
+
+
 # the finiteness check replaces the warnings of the overflow or division
 # that spoils an estimate
 @np.errstate(all="ignore")
-def _tensor_estimate(k0, hp, hq, rho1, rho2, sin_p, sin_q, order):
-    xi, w_xi = _split_axis(hp, order)
-    z, w_z = _split_axis(hq, order)
+def _tensor_estimate(k0, hp, hq, rho1, rho2, order):
+    # The integrand is e^{-j k0 r} / r * s(xi) s(z) * P(u, r) with
+    # u = z - xi + rho2, r = sqrt(rho1^2 + u^2) and the near-field
+    # polynomial P = k0^2 - j k0/r - (k0^2 u^2 + 1)/r^2 + 3j k0 u^2/r^3
+    # + 3 u^2/r^4. Only e^{-j k0 r} and the final product with P are
+    # complex; every real term is computed in real arithmetic with the
+    # roundings numpy's complex loops give the same formula (a complex
+    # divided by a real r is multiplied by 1/r), so the estimate keeps its
+    # bits. At most four real and two complex tensors are alive at once.
+    grid, w_xi, w_z, profile = _node_grid(k0, hp, hq, order)
+    u2 = grid + rho2
+    del grid
+    u2 *= u2
+    r = u2 + rho1 * rho1
+    np.sqrt(r, out=r)
+    kernel = np.exp(-1j * k0 * r)
+    inv_r = np.divide(1.0, r)
+    kernel *= inv_r                            # scales both parts
+    kernel *= profile
+    del profile
 
-    u = z[None, :] - xi[:, None] + rho2
-    u2 = u * u
-    r = np.sqrt(rho1 * rho1 + u2)
+    poly = np.empty_like(kernel)
+    inv_r *= -k0                               # imaginary: -k0/r
     r2 = r * r
-
-    poly = (
-        k0 * k0
-        - 1j * k0 / r
-        - (k0 * k0 * u2 + 1.0) / r2
-        + 3j * k0 * u2 / (r2 * r)
-        + 3.0 * u2 / (r2 * r2)
-    )
-    profile = (
-        np.sin(k0 * (hp - np.abs(xi)))[:, None]
-        * np.sin(k0 * (hq - np.abs(z)))[None, :]
-    ) / (sin_p * sin_q)
-    kernel = np.exp(-1j * k0 * r) / r * profile * poly
+    r *= r2
+    np.divide(1.0, r, out=r)
+    np.multiply(u2, 3.0 * k0, out=poly.real)
+    r *= poly.real
+    np.add(inv_r, r, out=poly.imag)            # + 3 k0 u^2/r^3
+    k0_sq = k0 * k0
+    np.multiply(u2, k0_sq, out=r)
+    r += 1.0
+    r /= r2
+    np.subtract(k0_sq, r, out=r)               # real: k0^2 - (k0^2 u^2 + 1)/r^2
+    r2 *= r2
+    u2 *= 3.0
+    u2 /= r2
+    np.add(r, u2, out=poly.real)               # + 3 u^2/r^4
+    kernel *= poly
     value = w_xi @ kernel @ w_z
     if not np.isfinite(value):
         raise ComputationError(
@@ -127,11 +181,11 @@ def _integrate(k0, hp, hq, rho1, rho2):
         )
 
     order = BASE_ORDER
-    previous = latest = _tensor_estimate(k0, hp, hq, rho1, rho2, sin_p, sin_q, order)
+    previous = latest = _tensor_estimate(k0, hp, hq, rho1, rho2, order)
     for _ in range(MAX_REFINEMENTS):
         previous = latest
         order *= 2
-        latest = _tensor_estimate(k0, hp, hq, rho1, rho2, sin_p, sin_q, order)
+        latest = _tensor_estimate(k0, hp, hq, rho1, rho2, order)
         err = abs(latest - previous)
         if err <= REL_TOLERANCE * max(abs(latest), abs(previous)):
             return latest, err, order
@@ -239,14 +293,31 @@ class ImpedanceSet:
         return np.diag(self.z_ss_self) + self.z_ss_mutual
 
 
+def _distinct_rows(rows: np.ndarray):
+    """Group the equal rows of a 2-D float array (``==`` on every column,
+    so -0.0 and 0.0 match). Returns ``(first, group)``: the index of each
+    group's first row and the group of every row."""
+    order = np.lexsort(rows.T)
+    ordered = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    group = np.empty(len(rows), dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    # lexsort is stable, so a group's first sorted row is its first row
+    return order[starts], group
+
+
 def impedance_matrix(elements: list[Radiator], constants: PhysicalConstants):
     """Self and mutual impedances among a set of parallel radiators.
 
     Returns ``(z_self, z_mutual)`` with the self impedances as an (N,)
     vector and the mutual part as an (N, N) matrix with zero diagonal.
-    Each unordered pair is looked up once and mirrored; the process-wide
-    pair memo integrates each distinct geometry once, which collapses the
-    cost on regular grids (and across calls) without changing any entry.
+    Each distinct offset (position difference and both half lengths) is
+    looked up once, for its first pair in ``itertools.combinations``
+    order, and its value fills every pair with that offset, mirrored. The
+    process-wide pair memo integrates each distinct geometry once, which
+    collapses the cost on regular grids (and across calls) without
+    changing any entry.
     """
     n = len(elements)
     if n < 1:
@@ -254,17 +325,27 @@ def impedance_matrix(elements: list[Radiator], constants: PhysicalConstants):
 
     z_self = np.empty(n, dtype=complex)
     z_mutual = np.zeros((n, n), dtype=complex)
-    j = -1
     try:
         for i, elem in enumerate(elements):
             z_self[i] = mutual_impedance(elem, elem, constants)
-        for i, j in itertools.combinations(range(n), 2):
-            z_mutual[i, j] = z_mutual[j, i] = mutual_impedance(
-                elements[i], elements[j], constants)
     except ComputationError as exc:
-        # j stays -1 while the self terms run
-        raise annotate(exc, f"element {i} self term" if j < 0
-                       else f"element pair ({i},{j})")
+        raise annotate(exc, f"element {i} self term")
+
+    # np.triu_indices lists the pairs in itertools.combinations order
+    rows_i, cols_j = np.triu_indices(n, 1)
+    positions = np.array([elem.position for elem in elements])
+    half_lengths = np.array([elem.half_length for elem in elements])
+    offsets = np.column_stack((positions[rows_i] - positions[cols_j],
+                               half_lengths[rows_i], half_lengths[cols_j]))
+    first, group = _distinct_rows(offsets)
+    values = np.empty(len(first), dtype=complex)
+    for g in np.argsort(first):
+        i, j = int(rows_i[first[g]]), int(cols_j[first[g]])
+        try:
+            values[g] = mutual_impedance(elements[i], elements[j], constants)
+        except ComputationError as exc:
+            raise annotate(exc, f"element pair ({i},{j})")
+    z_mutual[rows_i, cols_j] = z_mutual[cols_j, rows_i] = values[group]
     return z_self, z_mutual
 
 

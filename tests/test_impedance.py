@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from ris_mcrb import experiments, impedance
@@ -201,6 +204,92 @@ class TestMutualImpedance:
             mutual_impedance(element(), element(), C28)
 
 
+@np.errstate(all="ignore")
+def complex_tensor_estimate(k0, hp, hq, rho1, rho2, order):
+    """The tensor estimate as one complex numpy expression, as the engine
+    computed it before its kernel was split into real and imaginary
+    parts; the reference the kernel must reproduce bit for bit."""
+    sin_p, sin_q = math.sin(k0 * hp), math.sin(k0 * hq)
+    xi, w_xi = impedance._split_axis(hp, order)
+    z, w_z = impedance._split_axis(hq, order)
+
+    u = z[None, :] - xi[:, None] + rho2
+    u2 = u * u
+    r = np.sqrt(rho1 * rho1 + u2)
+    r2 = r * r
+
+    poly = (
+        k0 * k0
+        - 1j * k0 / r
+        - (k0 * k0 * u2 + 1.0) / r2
+        + 3j * k0 * u2 / (r2 * r)
+        + 3.0 * u2 / (r2 * r2)
+    )
+    profile = (
+        np.sin(k0 * (hp - np.abs(xi)))[:, None]
+        * np.sin(k0 * (hq - np.abs(z)))[None, :]
+    ) / (sin_p * sin_q)
+    kernel = np.exp(-1j * k0 * r) / r * profile * poly
+    return w_xi @ kernel @ w_z
+
+
+def kernel_geometries():
+    """(rho1, rho2) of the self term, side-by-side pairs at every default
+    spacing, staggered near-field pairs and the corner element against
+    the Tx and the Rx."""
+    cases = [(R, 0.0)]
+    cases += [(d * LAM, 0.0) for d in DEFAULT_SPACING_GRID]
+    cases += [(d * LAM, s * LAM) for d in (0.002, 0.01, 0.05)
+              for s in (-0.05, 0.003, 0.04)]
+    for position, _ in FAR_FIELD.values():
+        cases.append((math.hypot(CORNER - position[0], CORNER - position[1]),
+                      0.0 - position[2]))
+    return cases
+
+
+class TestTensorKernel:
+    @pytest.mark.parametrize("order", [16, 32, 64, 128])
+    def test_bit_identical_to_complex_expression(self, order):
+        k0 = C28.wavenumber
+        for rho1, rho2 in kernel_geometries():
+            want = complex_tensor_estimate(k0, H, H, rho1, rho2, order)
+            assert impedance._tensor_estimate(k0, H, H, rho1, rho2, order) == want
+
+    @settings(deadline=None, max_examples=60)
+    @given(rho1=st.floats(0.002 * LAM, 40.0 * LAM),
+           rho2=st.floats(-40.0 * LAM, 40.0 * LAM),
+           order=st.sampled_from([16, 32, 64]),
+           hq=st.sampled_from([H, 0.75 * H]))
+    def test_bit_identical_property(self, rho1, rho2, order, hq):
+        k0 = C28.wavenumber
+        want = complex_tensor_estimate(k0, H, hq, rho1, rho2, order)
+        assert impedance._tensor_estimate(k0, H, hq, rho1, rho2, order) == want
+
+    def test_high_orders_bypass_grid_cache(self):
+        k0 = C28.wavenumber
+        impedance._tensor_estimate(k0, H, H, R, 0.0, 2 * impedance.BASE_ORDER)
+        size = impedance._cached_node_grid.cache_info().currsize
+        assert size > 0
+        impedance._tensor_estimate(k0, H, H, R, 0.0, 1024)
+        assert impedance._cached_node_grid.cache_info().currsize == size
+
+    def test_peak_memory_at_order_256(self):
+        # The complex expression peaked at 23_086_496 bytes here: tracemalloc
+        # around the second of two order-256 estimates (rho1 = 1e-4 m,
+        # rho2 = 3e-5 m, the test dipoles at 28 GHz), numpy 2.4, Python
+        # 3.11. The real-arithmetic kernel holds at most four real and two
+        # complex 512 x 512 tensors (about 16.8 MB).
+        k0 = C28.wavenumber
+        impedance._tensor_estimate(k0, H, H, 1e-4, 3e-5, 256)
+        tracemalloc.start()
+        try:
+            impedance._tensor_estimate(k0, H, H, 1e-4, 3e-5, 256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 23_086_496
+
+
 class TestImpedanceMatrix:
     def test_single_element(self):
         elems = [element()]
@@ -239,6 +328,52 @@ class TestImpedanceMatrix:
             for j, q in enumerate(elems):
                 if i != j:
                     assert z_mut[i, j] == mutual_impedance(p, q, C28)
+
+    def test_irregular_layout_matches_pair_loop(self):
+        # dyadic positions, so equal offsets are equal floats: two shifted
+        # copies of a jittered block repeat every in-block offset; a first
+        # column at x = 0.0 or -0.0 and heights of 0.0 or -0.0 (flipped in
+        # the copy) give zero offsets of both signs, which share a lookup;
+        # and the half lengths differ
+        unit = 2.0 ** -10
+        rng = np.random.default_rng(7)
+        block = [(i * 3 * unit + rng.integers(-2, 3) * unit / 8 if i else (-0.0 if j % 2 else 0.0),
+                  j * 3 * unit + rng.integers(-2, 3) * unit / 8)
+                 for i in range(3) for j in range(3)]
+        elems = [element(x=x + 16 * unit * c if c else x, y=y,
+                         z=-0.0 if (k + c) % 2 else 0.0, h=H if k % 3 else 0.75 * H)
+                 for c in range(2) for k, (x, y) in enumerate(block)]
+        z_self, z_mut = impedance_matrix(elems, C28)
+        impedance._PAIR_MEMO.clear()
+        for i, p in enumerate(elems):
+            assert z_self[i] == mutual_impedance(p, p, C28)
+            for j in range(i + 1, len(elems)):
+                want = mutual_impedance(p, elems[j], C28)
+                assert z_mut[i, j] == want
+                assert z_mut[j, i] == want
+
+    def test_first_failing_pair_in_combinations_order_is_named(self):
+        # pairs (0,3) and (1,2) overlap coaxially at different z offsets;
+        # (1,2)'s offset sorts first, (0,3) comes first in combinations order
+        elems = [element(), element(x=LAM), element(x=LAM, z=H),
+                 element(z=0.5 * H)]
+        with pytest.raises(DegenerateGeometryError, match=r"^element pair \(0,3\): "):
+            impedance_matrix(elems, C28)
+
+    @pytest.mark.parametrize("n,calls", [(4, 40), (8, 264), (12, 684)])
+    def test_one_lookup_per_distinct_offset(self, monkeypatch, n, calls):
+        sc = scenario_from_config({"ris_n1": n, "ris_n2": n})
+        lookups = []
+        lookup = impedance.mutual_impedance
+
+        def counting(p, q, constants):
+            if p is not q:
+                lookups.append((p, q))
+            return lookup(p, q, constants)
+
+        monkeypatch.setattr(impedance, "mutual_impedance", counting)
+        impedance_matrix(sc.ris_radiators(), sc.constants)
+        assert len(lookups) == calls
 
     def test_error_annotated_with_pair(self):
         elems = [element(), element(z=H)]  # coaxial overlap
