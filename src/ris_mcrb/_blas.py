@@ -1,9 +1,11 @@
 """OpenBLAS thread control for the sweeps.
 
-The BLAS calls of a sweep are small, so extra BLAS threads only contend
-for cores with the sweep's worker processes, and a threaded reduction may
-sum in another order. The sweep runners and ``cli.main`` therefore run
-every loaded OpenBLAS runtime at one thread and restore its count after.
+The BLAS calls of a sweep are small, and the sweep's worker processes
+and their ``build_B`` helper threads already keep one thread per usable
+CPU busy (``channel.CpuBudget``), so extra BLAS threads would only contend
+with them for cores; a threaded reduction may also sum in another order.
+The sweep runners and ``cli.main`` therefore run every loaded OpenBLAS
+runtime at one thread and restore its count after.
 """
 
 from __future__ import annotations

@@ -102,12 +102,19 @@ def inverse_gram_trace(d) -> float:
     return _LsqFactor(d).inverse_gram_trace()
 
 
+def _check_power(p_t: float) -> float:
+    """An infinite power would divide every noise term away: the estimate
+    would be the zero vector, and the Monte-Carlo error NaN."""
+    if not 0.0 < p_t < math.inf:
+        raise ValueError(f"transmit power must be positive and finite, got {p_t!r}")
+    return p_t
+
+
 def ml_estimate(d_est, r, p_t: float) -> np.ndarray:
     """Maximum-likelihood channel estimate under the estimation model:
     the least-squares fit of r/sqrt(P_T) against D_est, in the form ``r``
     was given."""
-    if not p_t > 0.0:
-        raise ValueError("transmit power must be positive")
+    _check_power(p_t)
     factor = _LsqFactor(d_est, "estimation model")
     z = factor.solve(_complex_form(r)) / math.sqrt(p_t)
     return z if np.iscomplexobj(r) else realify_vec(z)
@@ -300,8 +307,7 @@ def mc_rmse_pairs(
     both counts is raised before any draw otherwise."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not p_t > 0.0:
-        raise ValueError("transmit power must be positive")
+    _check_power(p_t)
     if isinstance(noise_seed, (int, np.integer)):
         noise_seed = np.random.SeedSequence(int(noise_seed))
 

@@ -15,9 +15,14 @@ the same draws, so dropping a grid point never changes the remaining rows.
 
 The runners run BLAS single-threaded. A spacing sweep spreads its
 spacings over forked worker processes (``_parallel_map``), one task per
-spacing covering every size at it; each task is deterministic
-single-threaded code, so the rows are the same bits as the serial loop's,
-whichever path runs. A power sweep runs in the calling process: every
+spacing covering every size at it. The workers share a
+``channel.CpuBudget`` of one unit per usable CPU, and each counts in it
+while it runs a task; a CPU that no task occupies, such as one whose
+worker has run out of tasks, runs ``build_B`` chunks of a running task on
+a helper thread, so the heaviest spacing does not finish on one thread
+alone. A chunk's rows are the same bits on any thread, so the rows are
+the same bits as the serial loop's, whichever path runs. A power sweep
+runs in the calling process, with no budget and so no helper: every
 power reads all of its spacings' pairs, and its Monte-Carlo trials, split
 one task per power over two workers on a 2-vCPU host, cost 16.5% more CPU
 time (power-mc ``cpu_s``) for a 36% shorter wall time.
@@ -34,7 +39,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import __version__, impedance
+from . import __version__, channel, impedance
 from ._blas import openblas_thread_controls, single_threaded_blas
 from .bounds import BoundReport, FactoredPair, mc_rmse_pairs, snr
 from .channel import model_pair, noise_seed, sample_loads
@@ -128,17 +133,20 @@ def _usable_cpus() -> int:
 _worker_task = None
 
 
-def _start_worker(task) -> None:
+def _start_worker(task, budget) -> None:
     global _worker_task
     _worker_task = task
+    channel.cpu_budget = budget
     for _, set_ in openblas_thread_controls():
         set_(1)
 
 
 def _run_in_worker(i: int):
-    """``task(i)`` with the pair-memo entries it added, for the parent."""
+    """``task(i)``, counted in the sweep's CPU budget while it runs, with
+    the pair-memo entries it added, for the parent."""
     known = set(impedance._PAIR_MEMO)
-    result = _worker_task(i)
+    with channel.cpu_budget.hold():
+        result = _worker_task(i)
     return result, [(key, value) for key, value in impedance._PAIR_MEMO.items()
                     if key not in known]
 
@@ -146,12 +154,15 @@ def _run_in_worker(i: int):
 def _parallel_map(task, n: int) -> list:
     """``[task(i) for i in range(n)]``, spread over forked worker processes,
     one per usable CPU up to ``n``; inline where that is one process or
-    ``fork`` is missing. The results come back in index order, so the
-    earliest failing index raises, with its type, message and payload; the
-    tasks not yet started are then cancelled. Every worker is reaped before
-    this returns, and the impedances the workers integrated join this
-    process's pair memo."""
-    workers = min(n, _usable_cpus())
+    ``fork`` is missing. The workers share one ``channel.CpuBudget`` of a
+    unit per usable CPU, so the CPUs that no worker's task occupies run
+    ``build_B`` chunks on helper threads. The results come back in index
+    order, so the earliest failing index raises, with its type, message
+    and payload; the tasks not yet started are then cancelled. Every worker
+    is reaped before this returns, and the impedances the workers
+    integrated join this process's pair memo."""
+    cpus = _usable_cpus()
+    workers = min(n, cpus)
     if workers < 2:
         return [task(i) for i in range(n)]
     import multiprocessing
@@ -161,8 +172,10 @@ def _parallel_map(task, n: int) -> list:
     # fork, not spawn: a forked worker starts with this process's imports
     # and pair memo, and inherits its initializer arguments, so ``task``
     # may be a closure; it is never pickled
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                               initializer=_start_worker, initargs=(task,))
+    context = multiprocessing.get_context("fork")
+    budget = channel.CpuBudget(cpus, context)
+    pool = ProcessPoolExecutor(workers, context, initializer=_start_worker,
+                               initargs=(task, budget))
     try:
         results = []
         for result, pairs in pool.map(_run_in_worker, range(n)):

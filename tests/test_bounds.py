@@ -98,6 +98,15 @@ class TestMlEstimate:
         with pytest.raises(DegenerateDesignError):
             ml_estimate(np.ones((2, 4)), np.zeros(2), 1.0)
 
+    @pytest.mark.parametrize("p_t", [0.0, -1.0, math.inf, math.nan],
+                             ids=["zero", "negative", "inf", "nan"])
+    def test_rejects_unusable_power(self, model_factory, p_t):
+        # an infinite power would return the zero vector
+        d_est, _, _ = model_factory(seed=5)
+        r = np.ones(as_model_matrix(d_est).shape[0])
+        with pytest.raises(ValueError, match="positive and finite"):
+            ml_estimate(d_est, r, p_t)
+
 
 class TestPseudoTrue:
     def test_matched_model_returns_truth(self, model_factory):
@@ -319,6 +328,17 @@ class TestMcRmse:
         d_est, d_true, x = model_factory(seed=26)
         with pytest.raises(ValueError):
             mc_rmse(scenario, d_est, d_true, x, 1.0, 0, 0)
+
+    @pytest.mark.parametrize("p_t", [0.0, math.inf, math.nan],
+                             ids=["zero", "inf", "nan"])
+    def test_rejects_unusable_power(self, scenario, model_factory, p_t):
+        # an infinite power would return NaN after a numpy warning
+        d_est, d_true, x = model_factory(seed=27)
+        with pytest.raises(ValueError, match="positive and finite"):
+            mc_rmse(scenario, d_est, d_true, x, p_t, 3, 0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            bounds.mc_rmse_pairs(scenario, [bounds.FactoredPair(d_est, d_true, x)],
+                                 p_t, 3, 0)
 
     @pytest.mark.parametrize("noiseless", [False, True])
     def test_pairs_equal_separate_calls(self, scenario, model_factory, noiseless):

@@ -1,4 +1,8 @@
 import dataclasses
+import multiprocessing
+import sys
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -9,6 +13,7 @@ from scipy import stats
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from ris_mcrb import channel
+from ris_mcrb._blas import single_threaded_blas
 from ris_mcrb.channel import (
     CONTRACTION_LIMIT,
     RCOND_FLOOR,
@@ -326,7 +331,7 @@ class TestBuildBPaths:
             build_B(np.ones(n, dtype=complex), z_self, None, loads)
         want = gecon_rcond(np.diag(z_self + loads[1]))
         assert want < RCOND_FLOOR
-        assert exc_info.value.rcond == pytest.approx(want, rel=1e-14)
+        assert exc_info.value.rcond == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_diagonal_rcond_matches_gecon(self):
         rng = np.random.default_rng(43)
@@ -410,7 +415,7 @@ class TestBuildBPaths:
             build_B(np.ones(n, dtype=complex), z_self, z_mut, loads)
         assert exc_info.value.rcond < RCOND_FLOOR
         want = gecon_rcond(np.diag(z_self + loads[2]) + z_mut)
-        assert exc_info.value.rcond == pytest.approx(want, rel=1e-12)
+        assert exc_info.value.rcond == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("sweeps", [1, 2])
     def test_rows_at_sweep_cap_are_lu_solved(self, monkeypatch, sweeps):
@@ -431,6 +436,208 @@ class TestBuildBPaths:
         b = build_B(imp.z_rs, imp.z_ss_self, imp.z_ss_mutual, loads)
         want = lu_rows(imp.z_rs, imp.z_ss_self, imp.z_ss_mutual, loads)
         assert np.array_equal(b, want)
+
+
+@pytest.fixture
+def budget(monkeypatch):
+    """A three-unit CPU budget for this process's build_B calls, which may
+    start helpers from their first chunk on, however short."""
+    budget = channel.CpuBudget(3, multiprocessing.get_context())
+    monkeypatch.setattr(channel, "cpu_budget", budget)
+    monkeypatch.setattr(channel, "HELPER_MIN_CHUNK_S", 0.0)
+    return budget
+
+
+def chunk_threads(monkeypatch, slow=None, pause=0.005):
+    """Record, per build_B chunk, whether the calling (main) thread ran it.
+
+    With ``slow="main"`` the calling thread sleeps ``pause`` seconds before
+    each of its chunks, so helper threads get some of them. With ``slow="helper"`` its
+    first chunk waits until a helper has begun one, and each helper sleeps
+    before each of its chunks, so they end after the calling thread's."""
+    real = channel._contraction
+    on_main = []
+    helper_began = threading.Event()
+
+    def wrapper(mag, coupling):
+        main = threading.current_thread() is threading.main_thread()
+        on_main.append(main)
+        if slow == "main" and main:
+            time.sleep(pause)
+        elif slow == "helper" and main and on_main.count(True) == 1:
+            assert helper_began.wait(10.0)
+        elif slow == "helper" and not main:
+            helper_began.set()
+            time.sleep(0.02)
+        return real(mag, coupling)
+
+    monkeypatch.setattr(channel, "_contraction", wrapper)
+    return on_main
+
+
+def assert_helpers_done(budget):
+    assert [t for t in threading.enumerate() if t.name == "build_B helper"] == []
+    assert budget.free == budget.units
+
+
+def helper_system(kind, g, n=12):
+    """A system whose coupling-aware rows all take the LU path, all take
+    the iteration, or alternate between them."""
+    if kind == "mixed":
+        return mixed_system(57, g, n)
+    rng = np.random.default_rng(59)
+    z_self = crandn(rng, (n,)) + 5.0
+    z_mut = symmetric_system(rng, n, diag_boost=0.0)
+    z_mut[np.arange(n), np.arange(n)] = 0.0
+    loads = crandn(rng, (g, n)) + 5j
+    if kind == "jacobi":
+        z_mut *= 0.01
+        loads += 20j
+    return crandn(rng, (n,)), z_self, z_mut, loads
+
+
+class TestBuildBHelpers:
+    """build_B chunks on helper threads drawn from a CPU budget give the
+    serial rows and failures, and leave no thread and no unit behind."""
+
+    CHUNK = channel.JACOBI_CHUNK
+
+    @pytest.mark.parametrize("slow", ["main", "helper"])
+    @pytest.mark.parametrize("kind, g", [
+        ("lu", 3 * CHUNK + 5),
+        ("jacobi", 4 * CHUNK),
+        ("mixed", 2 * CHUNK + 6),
+        ("mixed", 5 * CHUNK + 1),
+    ])
+    def test_rows_equal_serial_rows(self, monkeypatch, budget, kind, g, slow):
+        z_rs, z_self, z_mut, loads = helper_system(kind, g)
+        iterated = iterated_rows(z_self, z_mut, loads)
+        assert {"lu": not iterated.any(), "jacobi": iterated.all(),
+                "mixed": 0 < iterated.sum() < g}[kind]
+        with single_threaded_blas():
+            monkeypatch.setattr(channel, "cpu_budget", None)
+            serial = build_B(z_rs, z_self, z_mut, loads)
+            monkeypatch.setattr(channel, "cpu_budget", budget)
+            on_main = chunk_threads(monkeypatch, slow)
+            with budget.hold():  # the calling thread, as in a sweep worker
+                helped = build_B(z_rs, z_self, z_mut, loads)
+        assert len(on_main) == -(-g // self.CHUNK)
+        assert not all(on_main)
+        assert np.array_equal(helped, serial)
+        assert_helpers_done(budget)
+
+    def test_many_helpers_with_a_short_switch_interval(self, monkeypatch):
+        # more units than cores, and thread switches every microsecond: the
+        # chunks, the budget count and the failure record must stay exact
+        budget = channel.CpuBudget(8, multiprocessing.get_context())
+        monkeypatch.setattr(channel, "HELPER_MIN_CHUNK_S", 0.0)
+        z_rs, z_self, z_mut, loads = helper_system("mixed", 12 * self.CHUNK + 3)
+        with single_threaded_blas():
+            serial = build_B(z_rs, z_self, z_mut, loads)
+            monkeypatch.setattr(channel, "cpu_budget", budget)
+            on_main = chunk_threads(monkeypatch, "main")
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                helped = [build_B(z_rs, z_self, z_mut, loads) for _ in range(3)]
+            finally:
+                sys.setswitchinterval(interval)
+        assert not all(on_main)
+        for b in helped:
+            assert np.array_equal(b, serial)
+        assert_helpers_done(budget)
+
+    def test_budget_count_survives_contention(self):
+        budget = channel.CpuBudget(3, multiprocessing.get_context())
+        taken = []
+
+        def churn():
+            for _ in range(200):
+                with budget.hold():
+                    if budget.try_take():
+                        taken.append(True)
+                        budget.give()
+
+        threads = [threading.Thread(target=churn) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert taken
+        assert budget.free == budget.units
+
+    def test_helpers_wait_for_a_long_chunk(self, monkeypatch):
+        # iterated chunks at N = 12 take about 0.3 ms, so with a 50 ms
+        # threshold a free unit starts no helper; once the calling thread's
+        # chunks take longer, a helper starts before its second chunk
+        budget = channel.CpuBudget(3, multiprocessing.get_context())
+        monkeypatch.setattr(channel, "cpu_budget", budget)
+        monkeypatch.setattr(channel, "HELPER_MIN_CHUNK_S", 0.05)
+        z_rs, z_self, z_mut, loads = helper_system("jacobi", 4 * self.CHUNK)
+        with single_threaded_blas(), budget.hold():
+            on_main = chunk_threads(monkeypatch)
+            fast = build_B(z_rs, z_self, z_mut, loads)
+            assert on_main == [True] * 4
+            on_main = chunk_threads(monkeypatch, "main", pause=0.06)
+            assert np.array_equal(build_B(z_rs, z_self, z_mut, loads), fast)
+        assert on_main[0] and not all(on_main)
+        assert_helpers_done(budget)
+
+    def test_workers_holding_every_unit_leave_no_helper(self, monkeypatch, budget):
+        z_rs, z_self, z_mut, loads = helper_system("mixed", 3 * self.CHUNK)
+        contexts = factor_contexts(monkeypatch)
+        on_main = chunk_threads(monkeypatch)
+        with budget.hold(), budget.hold(), budget.hold():
+            build_B(z_rs, z_self, z_mut, loads)
+        assert all(on_main) and len(on_main) == 3
+        # the serial loop's order of factorizations
+        assert contexts == sorted(contexts, key=lambda c: int(c.split()[1]))
+        assert_helpers_done(budget)
+
+    def test_earliest_singular_configuration_raised(self, monkeypatch, budget):
+        # configurations 5 (chunk 0, on the calling thread) and 40 (chunk 1,
+        # on a helper) are nearly singular; chunk 0 waits until chunk 1 has
+        # failed, yet the error names configuration 5, with its own rcond,
+        # and chunk 2 is never begun
+        g, n = 3 * self.CHUNK, 2
+        z_self = np.ones(n, dtype=complex)
+        z_mut = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        loads = np.full((g, n), 1j)
+        loads[5], loads[40] = 1e-15, 4e-15
+        real = channel._factor
+        failed, begun = [], []
+        late_failed = threading.Event()
+
+        def wrapper(getrf, gecon, z, anorm, context):
+            begun.append(int(context.split()[1]))
+            if context == "configuration 5":
+                assert late_failed.wait(10.0)
+            try:
+                return real(getrf, gecon, z, anorm, context)
+            except SingularModelError:
+                failed.append(context)
+                raise
+            finally:
+                if context == "configuration 40":
+                    late_failed.set()
+
+        monkeypatch.setattr(channel, "_factor", wrapper)
+        with budget.hold(), pytest.raises(SingularModelError,
+                                          match="^configuration 5: ") as exc_info:
+            build_B(np.ones(n, dtype=complex), z_self, z_mut, loads)
+        assert failed == ["configuration 40", "configuration 5"]
+        assert max(begun) == 40
+        rconds = [gecon_rcond(np.diag(z_self + loads[row]) + z_mut) for row in (5, 40)]
+        assert max(rconds) < RCOND_FLOOR
+        assert rconds[1] > 2.0 * rconds[0]
+        assert exc_info.value.rcond == pytest.approx(rconds[0], rel=1e-12, abs=0.0)
+        assert_helpers_done(budget)
 
 
 class TestFrozenFields:

@@ -4,6 +4,7 @@ import io
 import multiprocessing
 import os
 import pickle
+import threading
 import time
 import weakref
 
@@ -973,6 +974,14 @@ class TestParallelSweeps:
             lambda i: [get() for get, _ in blas_runtimes], 2)
         assert counts == [[1] * len(blas_runtimes)] * 2
 
+    def test_workers_count_in_the_budget(self, monkeypatch):
+        # a unit per usable CPU, and a running task holds one of them
+        pooled_sweeps(monkeypatch)
+        seen = experiments._parallel_map(
+            lambda i: (channel.cpu_budget.units, channel.cpu_budget.free), 3)
+        assert [units for units, _ in seen] == [2] * 3
+        assert all(free <= 1 for _, free in seen)
+
     def test_first_failing_spacing_raises(self, small_scenario, monkeypatch):
         # every point fails, the first spacing last in time; the error must
         # still name it, as the serial loop would
@@ -994,6 +1003,48 @@ class TestParallelSweeps:
                 run_bias_vs_spacing(request)
             assert exc_info.value.rcond < channel.RCOND_FLOOR
             assert multiprocessing.active_children() == []
+
+    def test_helpers_finish_the_heaviest_spacing(self, small_scenario, monkeypatch):
+        # four spacing tasks on two workers: the first spacing's build_B
+        # calls have 16 chunks each, and its chunks on the worker's own
+        # thread wait until the other worker has left a unit free, so a
+        # helper thread must run some of them; the rows are the inline rows
+        scenario = small_scenario.with_overrides(
+            num_transmissions=16 * channel.JACOBI_CHUNK)
+        request = SweepRequest(kind="bias_vs_spacing", scenario=scenario,
+                               spacing_grid=[0.02, 0.2, 0.5, 1.0], sizes=[(3, 2)])
+        inline_sweeps(monkeypatch)
+        inline = run_bias_vs_spacing(request).rows
+
+        helper_chunks = multiprocessing.get_context("fork").Value("i", 0)
+        spacing = {}
+        build, contraction = experiments._build_point, channel._contraction
+
+        def build_point(scenario, d, n1, n2):
+            spacing["d"] = d
+            return build(scenario, d, n1, n2)
+
+        def chunk(mag, coupling):
+            if threading.current_thread() is not threading.main_thread():
+                with helper_chunks.get_lock():
+                    helper_chunks.value += 1
+            elif spacing["d"] == 0.02:
+                deadline = time.monotonic() + 10.0
+                while (channel.cpu_budget.free < 1 and helper_chunks.value == 0
+                       and time.monotonic() < deadline):
+                    time.sleep(0.001)
+            return contraction(mag, coupling)
+
+        monkeypatch.setattr(experiments, "_build_point", build_point)
+        monkeypatch.setattr(channel, "_contraction", chunk)
+        monkeypatch.setattr(channel, "HELPER_MIN_CHUNK_S", 0.0)
+        pooled_sweeps(monkeypatch)
+        impedance._PAIR_MEMO.clear()
+        assert run_bias_vs_spacing(request).rows == inline
+        assert helper_chunks.value > 0
+        assert multiprocessing.active_children() == []
+        assert channel.cpu_budget is None
+        assert [t for t in threading.enumerate() if t.name == "build_B helper"] == []
 
     def test_no_worker_outlives_a_sweep(self, small_scenario, monkeypatch):
         pooled_sweeps(monkeypatch)
