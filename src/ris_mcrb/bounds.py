@@ -102,12 +102,11 @@ def inverse_gram_trace(d) -> float:
     return _LsqFactor(d).inverse_gram_trace()
 
 
-def _check_power(p_t: float) -> float:
+def _check_power(p_t: float) -> None:
     """An infinite power would divide every noise term away: the estimate
     would be the zero vector, and the Monte-Carlo error NaN."""
     if not 0.0 < p_t < math.inf:
         raise ValueError(f"transmit power must be positive and finite, got {p_t!r}")
-    return p_t
 
 
 def ml_estimate(d_est, r, p_t: float) -> np.ndarray:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import contextlib
 import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,12 +76,6 @@ JACOBI_CHUNK = 32
 JACOBI_MAX_SWEEPS = 100
 # Relative accuracy the iteration's error bound must reach (2^-52).
 _STOP_REL = float(np.finfo(float).eps)
-# A helper thread pays off only for chunks that spend their time in LAPACK
-# and BLAS calls, which release the GIL, so build_B's calling thread starts
-# one only after a chunk of its own took at least this long. On a 2-vCPU
-# host a helper slowed chunks of 0.3-1.1 ms (iterated, N <= 100) by 13-110%
-# and sped up LU chunks of 3.6 ms and more by 20-43%.
-HELPER_MIN_CHUNK_S = 0.002
 
 
 def substream(master_seed: int, *path: int) -> np.random.Generator:
@@ -347,11 +340,6 @@ class CpuBudget:
         """Give back a unit taken by ``try_take``."""
         self._add(-1)
 
-    @property
-    def free(self) -> int:
-        """Units no thread holds (negative while workers run past ``units``)."""
-        return self.units - self._running.value
-
 
 # The CpuBudget of the sweep this process works for, set in each sweep
 # worker; None elsewhere, and then build_B runs every chunk on the calling
@@ -363,11 +351,10 @@ def _run_chunks(run, count: int) -> None:
     """``run(k)`` for every chunk ``k < count``, claimed in increasing order.
 
     The calling thread runs chunks until none is left. Before each of its
-    chunks, if its previous one took at least ``HELPER_MIN_CHUNK_S`` (the
-    time before the first counts as zero) and another chunk is unclaimed,
-    it starts a helper thread if ``cpu_budget`` has a free unit; a helper
-    runs chunks on that unit, gives it back after each one and goes on
-    only if it can take one again. Without a budget no helper starts.
+    chunks, if another chunk is unclaimed, it starts a helper thread if
+    ``cpu_budget`` has a free unit; a helper runs chunks on that unit,
+    gives it back after each one and goes on only if it can take one
+    again. Without a budget no helper starts.
     Every chunk's result is its own, so the threads that ran them do not
     change a bit. After a failure no later chunk is claimed; once every
     helper has stopped, the failure of the earliest chunk is raised, the
@@ -404,11 +391,9 @@ def _run_chunks(run, count: int) -> None:
         budget.give()
 
     helpers = []
-    last = 0.0  # seconds the calling thread's previous chunk took
     try:
         while (k := claim()) is not None:
-            if (budget is not None and last >= HELPER_MIN_CHUNK_S
-                    and claimed < end and budget.try_take()):
+            if budget is not None and claimed < end and budget.try_take():
                 thread = threading.Thread(target=helper, name="build_B helper")
                 try:
                     thread.start()
@@ -416,9 +401,7 @@ def _run_chunks(run, count: int) -> None:
                     budget.give()
                     raise
                 helpers.append(thread)
-            started = time.perf_counter()
             attempt(k)
-            last = time.perf_counter() - started
     finally:
         with lock:
             end = 0

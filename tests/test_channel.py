@@ -440,19 +440,17 @@ class TestBuildBPaths:
 
 @pytest.fixture
 def budget(monkeypatch):
-    """A three-unit CPU budget for this process's build_B calls, which may
-    start helpers from their first chunk on, however short."""
+    """A three-unit CPU budget for this process's build_B calls."""
     budget = channel.CpuBudget(3, multiprocessing.get_context())
     monkeypatch.setattr(channel, "cpu_budget", budget)
-    monkeypatch.setattr(channel, "HELPER_MIN_CHUNK_S", 0.0)
     return budget
 
 
-def chunk_threads(monkeypatch, slow=None, pause=0.005):
+def chunk_threads(monkeypatch, slow=None):
     """Record, per build_B chunk, whether the calling (main) thread ran it.
 
-    With ``slow="main"`` the calling thread sleeps ``pause`` seconds before
-    each of its chunks, so helper threads get some of them. With ``slow="helper"`` its
+    With ``slow="main"`` the calling thread sleeps 5 ms before each of its
+    chunks, so helper threads get some of them. With ``slow="helper"`` its
     first chunk waits until a helper has begun one, and each helper sleeps
     before each of its chunks, so they end after the calling thread's."""
     real = channel._contraction
@@ -463,7 +461,7 @@ def chunk_threads(monkeypatch, slow=None, pause=0.005):
         main = threading.current_thread() is threading.main_thread()
         on_main.append(main)
         if slow == "main" and main:
-            time.sleep(pause)
+            time.sleep(0.005)
         elif slow == "helper" and main and on_main.count(True) == 1:
             assert helper_began.wait(10.0)
         elif slow == "helper" and not main:
@@ -475,9 +473,14 @@ def chunk_threads(monkeypatch, slow=None, pause=0.005):
     return on_main
 
 
+def free_units(budget):
+    """Units no thread holds (negative while workers run past ``units``)."""
+    return budget.units - budget._running.value
+
+
 def assert_helpers_done(budget):
     assert [t for t in threading.enumerate() if t.name == "build_B helper"] == []
-    assert budget.free == budget.units
+    assert free_units(budget) == budget.units
 
 
 def helper_system(kind, g, n=12):
@@ -530,7 +533,6 @@ class TestBuildBHelpers:
         # more units than cores, and thread switches every microsecond: the
         # chunks, the budget count and the failure record must stay exact
         budget = channel.CpuBudget(8, multiprocessing.get_context())
-        monkeypatch.setattr(channel, "HELPER_MIN_CHUNK_S", 0.0)
         z_rs, z_self, z_mut, loads = helper_system("mixed", 12 * self.CHUNK + 3)
         with single_threaded_blas():
             serial = build_B(z_rs, z_self, z_mut, loads)
@@ -570,24 +572,7 @@ class TestBuildBHelpers:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert taken
-        assert budget.free == budget.units
-
-    def test_helpers_wait_for_a_long_chunk(self, monkeypatch):
-        # iterated chunks at N = 12 take about 0.3 ms, so with a 50 ms
-        # threshold a free unit starts no helper; once the calling thread's
-        # chunks take longer, a helper starts before its second chunk
-        budget = channel.CpuBudget(3, multiprocessing.get_context())
-        monkeypatch.setattr(channel, "cpu_budget", budget)
-        monkeypatch.setattr(channel, "HELPER_MIN_CHUNK_S", 0.05)
-        z_rs, z_self, z_mut, loads = helper_system("jacobi", 4 * self.CHUNK)
-        with single_threaded_blas(), budget.hold():
-            on_main = chunk_threads(monkeypatch)
-            fast = build_B(z_rs, z_self, z_mut, loads)
-            assert on_main == [True] * 4
-            on_main = chunk_threads(monkeypatch, "main", pause=0.06)
-            assert np.array_equal(build_B(z_rs, z_self, z_mut, loads), fast)
-        assert on_main[0] and not all(on_main)
-        assert_helpers_done(budget)
+        assert free_units(budget) == budget.units
 
     def test_workers_holding_every_unit_leave_no_helper(self, monkeypatch, budget):
         z_rs, z_self, z_mut, loads = helper_system("mixed", 3 * self.CHUNK)

@@ -978,9 +978,10 @@ class TestParallelSweeps:
         # a unit per usable CPU, and a running task holds one of them
         pooled_sweeps(monkeypatch)
         seen = experiments._parallel_map(
-            lambda i: (channel.cpu_budget.units, channel.cpu_budget.free), 3)
+            lambda i: (channel.cpu_budget.units,
+                       channel.cpu_budget._running.value), 3)
         assert [units for units, _ in seen] == [2] * 3
-        assert all(free <= 1 for _, free in seen)
+        assert all(running >= 1 for _, running in seen)
 
     def test_first_failing_spacing_raises(self, small_scenario, monkeypatch):
         # every point fails, the first spacing last in time; the error must
@@ -1029,15 +1030,15 @@ class TestParallelSweeps:
                 with helper_chunks.get_lock():
                     helper_chunks.value += 1
             elif spacing["d"] == 0.02:
-                deadline = time.monotonic() + 10.0
-                while (channel.cpu_budget.free < 1 and helper_chunks.value == 0
+                budget, deadline = channel.cpu_budget, time.monotonic() + 10.0
+                while (budget._running.value >= budget.units
+                       and helper_chunks.value == 0
                        and time.monotonic() < deadline):
                     time.sleep(0.001)
             return contraction(mag, coupling)
 
         monkeypatch.setattr(experiments, "_build_point", build_point)
         monkeypatch.setattr(channel, "_contraction", chunk)
-        monkeypatch.setattr(channel, "HELPER_MIN_CHUNK_S", 0.0)
         pooled_sweeps(monkeypatch)
         impedance._PAIR_MEMO.clear()
         assert run_bias_vs_spacing(request).rows == inline
