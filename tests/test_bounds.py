@@ -20,16 +20,18 @@ from ris_mcrb.bounds import (
 from ris_mcrb.channel import (
     as_model_matrix,
     model_pair,
+    noise_seed,
     realify,
     realify_vec,
     sample_loads,
     trial_generators,
 )
 from ris_mcrb.errors import DegenerateDesignError
+from ris_mcrb.experiments import DEFAULT_LB_SPACINGS, DEFAULT_POWER_GRID_DBM
 from ris_mcrb.impedance import build_impedance_set
-from ris_mcrb.scenario import NoiseModel, scenario_from_config
+from ris_mcrb.scenario import NoiseModel, dbm_to_watts, scenario_from_config
 
-from conftest import crandn
+from conftest import build_point, crandn
 
 
 def iterative_pseudo_true(d_est, d_true, x_true):
@@ -353,6 +355,27 @@ class TestMcRmse:
                 for m in models]
         assert got == want
 
+    @pytest.mark.parametrize("noiseless", [False, True])
+    def test_rejects_empty_pairs(self, scenario, monkeypatch, noiseless):
+        def no_streams(seq, trials):
+            raise AssertionError("noise drawn before the pairs were checked")
+
+        monkeypatch.setattr(bounds, "trial_generators", no_streams)
+        with pytest.raises(ValueError, match="pairs must not be empty"):
+            bounds.mc_rmse_pairs(scenario, [], 1.0, 3, 0, noiseless=noiseless)
+
+    def test_noiseless_solves_once(self, scenario, model_factory, monkeypatch):
+        solves = []
+        real = bounds._LsqFactor.solve
+
+        def counting(self, rhs):
+            solves.append(rhs)
+            return real(self, rhs)
+
+        monkeypatch.setattr(bounds._LsqFactor, "solve", counting)
+        mc_rmse(scenario, *model_factory(seed=37), 1.0, 9, 0, noiseless=True)
+        assert len(solves) == 1
+
     def test_noiseless_builds_no_streams(self, scenario, model_factory, monkeypatch):
         made = []
         real = bounds.trial_generators
@@ -412,6 +435,120 @@ class TestMcRmse:
                           point_002.x_true, p_t, 500,
                           noise_seed(sc.rng_seed, float(p_dbm)))
             assert abs(got - bound) <= 0.10 * bound
+
+
+def per_trial_oracle(sigma2, b_est, b_true, z, p_t, trials, seq, noiseless):
+    """Monte-Carlo RMSE one trial at a time in plain numpy: trial t's noise
+    is [Re; Im] of 2G standard normals from numpy's own generator of the
+    t-th child of ``seq``, and the estimate is ``lstsq`` on B_est."""
+    g = b_est.shape[0]
+    total = 0.0
+    for t in range(trials):
+        r = math.sqrt(p_t) * (b_true @ z)
+        if not noiseless:
+            child = np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (t,))
+            draws = np.random.default_rng(child).standard_normal(2 * g)
+            r = r + math.sqrt(sigma2 / 2.0) * (draws[:g] + 1j * draws[g:])
+        err = np.linalg.lstsq(b_est, r, rcond=None)[0] / math.sqrt(p_t) - z
+        total += float(np.vdot(err, err).real)
+    return math.sqrt(total / trials)
+
+
+BLOCK = bounds.TRIAL_BLOCK
+BLOCK_EDGE_TRIALS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
+
+
+class TestTrialBlocks:
+    """Trial counts on both sides of the block boundaries, with three pairs:
+    two mismatched and one matched (``d_est is d_true``)."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        rng = np.random.default_rng(60)
+        out = []
+        for mismatch in (0.3, None, 0.05):
+            b_true = crandn(rng, (20, 4))
+            b_est = b_true if mismatch is None else b_true + mismatch * crandn(rng, (20, 4))
+            out.append((b_est, b_true, crandn(rng, 4)))
+        return out
+
+    @pytest.mark.parametrize("noiseless", [False, True])
+    @pytest.mark.parametrize("trials", BLOCK_EDGE_TRIALS)
+    def test_pairs_equal_separate_calls(self, scenario, models, trials, noiseless):
+        seq = np.random.SeedSequence(8, spawn_key=(1, 3))
+        p_t = 4.0 * scenario.noise.sigma2
+        got = bounds.mc_rmse_pairs(scenario, [bounds.FactoredPair(*m) for m in models],
+                                   p_t, trials, seq, noiseless=noiseless)
+        want = [mc_rmse(scenario, *m, p_t, trials, seq, noiseless=noiseless)
+                for m in models]
+        assert got == want
+
+    @pytest.mark.parametrize("noiseless", [False, True])
+    @pytest.mark.parametrize("trials", BLOCK_EDGE_TRIALS)
+    def test_per_trial_oracle(self, scenario, models, trials, noiseless):
+        seq = np.random.SeedSequence(9, spawn_key=(2, 4))
+        p_t = 4.0 * scenario.noise.sigma2
+        got = bounds.mc_rmse_pairs(scenario, [bounds.FactoredPair(*m) for m in models],
+                                   p_t, trials, seq, noiseless=noiseless)
+        for rmse, (b_est, b_true, z) in zip(got, models):
+            want = per_trial_oracle(scenario.noise.sigma2, b_est, b_true, z, p_t,
+                                    trials, seq, noiseless)
+            # a noiseless matched pair's error is rounding alone, so the
+            # scale of that comparison is ||z||
+            assert rmse == pytest.approx(want, rel=1e-12,
+                                         abs=1e-12 * np.linalg.norm(z))
+
+
+def error_moments(b_est, b_true, z, sigma2, p_t):
+    """Mean and variance of ||e||^2 for the least-squares error
+    e = bias + (B_est^H B_est)^-1 B_est^H n / sqrt(P_T) ~ CN(bias, C), with
+    C = (sigma2 / P_T) (B_est^H B_est)^-1: the mean is Tr(C) + ||bias||^2,
+    the variance Tr(C^2) + 2 bias^H C bias."""
+    bias = np.linalg.lstsq(b_est, b_true @ z, rcond=None)[0] - z
+    c = (sigma2 / p_t) * np.linalg.inv(b_est.conj().T @ b_est)
+    mean = np.trace(c).real + np.vdot(bias, bias).real
+    variance = np.trace(c @ c).real + 2.0 * np.vdot(bias, c @ bias).real
+    return mean, variance
+
+
+class TestSamplingLaw:
+    """The Monte-Carlo column against its exact sampling law. The mean of T
+    independent ||e||^2 has mean lb^2 (least squares attains the
+    misspecified bound) and variance Var/T, so z = (rmse^2 - lb^2) /
+    sqrt(Var/T) is standard normal up to a skewness below 0.01 at T = 4000.
+
+    Each seed covers the default mc-rmse grid, 10 powers by 3 spacings,
+    mismatched and matched: 60 rows, 120 for both seeds. |z| <= 4 has a
+    two-sided tail of 6.3e-5 per row, so by the union bound a correct
+    estimator fails the test with probability below 0.8%, however the rows
+    are correlated (rows at one power share their noise). A noise variance
+    off by 2% moves every noise-dominated row by 0.02 Tr(C) / sqrt(Var/T),
+    3.6 to 4.5 sigma here, in one direction at 20 independent (seed, power)
+    draws; the noise's [Re; Im] split without its 1/2 moves them by ~200."""
+
+    TRIALS = 4000
+    Z_LIMIT = 4.0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_default_mc_rmse_grid(self, seed):
+        base = scenario_from_config({"seed": seed})
+        points = [build_point(base.with_overrides(ris_spacing_over_lambda=d))
+                  for d in DEFAULT_LB_SPACINGS]
+        models = ([(p.d_est, p.d_true, p.x_true) for p in points]
+                  + [(p.d_true, p.d_true, p.x_true) for p in points])
+        pairs = [bounds.FactoredPair(*m) for m in models]
+        sigma2 = base.noise.sigma2
+        outliers = []
+        for p_dbm in DEFAULT_POWER_GRID_DBM:
+            p_t = dbm_to_watts(p_dbm)
+            rmses = bounds.mc_rmse_pairs(base, pairs, p_t, self.TRIALS,
+                                         noise_seed(base.rng_seed, p_dbm))
+            for k, (model, rmse) in enumerate(zip(models, rmses)):
+                mean, variance = error_moments(*model, sigma2, p_t)
+                z = (rmse ** 2 - mean) / math.sqrt(variance / self.TRIALS)
+                if not abs(z) <= self.Z_LIMIT:
+                    outliers.append((p_dbm, k, z))
+        assert outliers == []
 
 
 class TestFormIndependence:
