@@ -6,6 +6,13 @@ CPU busy (``channel.CpuBudget``), so extra BLAS threads would only contend
 with them for cores; a threaded reduction may also sum in another order.
 The sweep runners and ``cli.main`` therefore run every loaded OpenBLAS
 runtime at one thread and restore its count after.
+
+A runtime's setter runs only when its count is not already the target.
+OpenBLAS's fork handler shuts its thread server down, and a setter call
+after a fork rebuilds it: the rebuilt server's thread spins, about 0.25 s
+of CPU time per call on a 2-vCPU host, even at a count of 1. A process
+forked while the count is 1 inherits that count, so a worker needs no
+setter call and a sweep nested in a pinned caller makes none.
 """
 
 from __future__ import annotations
@@ -54,13 +61,16 @@ def openblas_thread_controls():
 @contextlib.contextmanager
 def single_threaded_blas():
     """Set every loaded OpenBLAS runtime to one thread, then restore each
-    runtime's previous count."""
+    runtime's previous count; a runtime already at the count it is to be
+    set to is left alone, on entry and on restore."""
     controls = openblas_thread_controls()
     saved = [get() for get, _ in controls]
     try:
-        for _, set_ in controls:
-            set_(1)
+        for (_, set_), count in zip(controls, saved):
+            if count != 1:
+                set_(1)
         yield
     finally:
-        for (_, set_), count in zip(controls, saved):
-            set_(count)
+        for (get, set_), count in zip(controls, saved):
+            if get() != count:
+                set_(count)

@@ -11,11 +11,14 @@ Exit codes: 0 success, 2 config/validation error, 3 numerical failure
 
 Each ``main`` call, like each sweep runner inside it, runs every loaded
 OpenBLAS runtime single-threaded and restores the runtimes' thread counts
-when it returns. The spacing sweeps spread their spacings over one worker
-process per usable CPU, and the BLAS calls of a grid point are small, so
-BLAS threads would only oversubscribe the cores; a threaded reduction may
-also sum in another order. Pinned, the CSV bytes depend neither on the
-host's core count nor on ``OPENBLAS_NUM_THREADS``.
+when it returns. The spacing sweeps spread their spacings, and the power
+sweeps their Monte-Carlo powers, over one worker process per usable CPU,
+and the BLAS calls of a task are small, so BLAS threads would only
+oversubscribe the cores; a threaded reduction may also sum in another
+order. Pinned, the CSV bytes depend neither on the host's core count nor
+on ``OPENBLAS_NUM_THREADS``. The pin is set here, before any worker is
+forked, so the workers inherit it and the runners nested inside find
+every runtime at one thread already and call no setter.
 """
 
 from __future__ import annotations

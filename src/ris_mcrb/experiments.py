@@ -13,21 +13,24 @@ are keyed by the transmit-power value; each power's trials draw their
 noise once (``bounds.mc_rmse_pairs``) and every spacing at that power sees
 the same draws, so dropping a grid point never changes the remaining rows.
 
-The runners run BLAS single-threaded. A spacing sweep spreads its
-spacings over forked worker processes (``_parallel_map``), one task per
-spacing covering every size at it. The workers share a
-``channel.CpuBudget`` of one unit per usable CPU, and each counts in it
-while it runs a task; a CPU that no task occupies, such as one whose
-worker has run out of tasks, runs ``build_B`` chunks of a running task on
-a helper thread, so the heaviest spacing does not finish on one thread
-alone. A chunk's rows are the same bits on any thread, so the rows are
-the same bits as the serial loop's, whichever path runs. A power sweep
-runs in the calling process, with no budget and so no helper: every
-power reads all of its spacings' pairs. Its Monte-Carlo trials run in
-blocks (``bounds.TRIAL_BLOCK``), about 45 ms per power for the default
-``mc-rmse --trials 2000`` on a 2-vCPU host; when each trial was solved on
-its own (about 105 ms), one task per power over two workers cost 16.5%
-more CPU time (power-mc ``cpu_s``) for a 36% shorter wall time.
+The runners run BLAS single-threaded, and both kinds of sweep spread
+their work over forked worker processes (``_parallel_map``) that inherit
+that single thread, so no worker calls a BLAS setter (``_blas``). A
+spacing sweep runs one task per spacing covering every size at it. The
+workers share a ``channel.CpuBudget`` of one unit per usable CPU, and
+each counts in it while it runs a task; a CPU that no task occupies, such
+as one whose worker has run out of tasks, runs ``build_B`` chunks of a
+running task on a helper thread, so the heaviest spacing does not finish
+on one thread alone. A chunk's rows are the same bits on any thread, so
+the rows are the same bits as the serial loop's, whichever path runs.
+
+A power sweep builds and reads its pairs in the calling process, since
+every power reads all of its spacings' pairs, then runs one task per power
+of Monte-Carlo trials (``bounds.mc_rmse_pairs``, in blocks of
+``bounds.TRIAL_BLOCK``) on the workers, which inherit the pairs through
+the fork; its rows are assembled in grid order. Noiseless trials (one
+solve per pair) and ``trials == 0`` run inline. Each power's trials are
+computed as in the serial loop, so the rows are the same bits.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__, channel, impedance
-from ._blas import openblas_thread_controls, single_threaded_blas
+from ._blas import single_threaded_blas
 from .bounds import BoundReport, FactoredPair, mc_rmse_pairs, snr
 from .channel import model_pair, noise_seed, sample_loads
 from .errors import ComputationError, annotate
@@ -139,8 +142,6 @@ def _start_worker(task, budget) -> None:
     global _worker_task
     _worker_task = task
     channel.cpu_budget = budget
-    for _, set_ in openblas_thread_controls():
-        set_(1)
 
 
 def _run_in_worker(i: int):
@@ -156,13 +157,16 @@ def _run_in_worker(i: int):
 def _parallel_map(task, n: int) -> list:
     """``[task(i) for i in range(n)]``, spread over forked worker processes,
     one per usable CPU up to ``n``; inline where that is one process or
-    ``fork`` is missing. The workers share one ``channel.CpuBudget`` of a
-    unit per usable CPU, so the CPUs that no worker's task occupies run
-    ``build_B`` chunks on helper threads. The results come back in index
-    order, so the earliest failing index raises, with its type, message
-    and payload; the tasks not yet started are then cancelled. Every worker
-    is reaped before this returns, and the impedances the workers
-    integrated join this process's pair memo."""
+    ``fork`` is missing. The pool is forked inside ``single_threaded_blas``,
+    so every worker inherits one BLAS thread per runtime and never calls a
+    setter: a setter call after a fork restarts OpenBLAS's thread server,
+    whose thread then spins (``_blas``). The workers share one
+    ``channel.CpuBudget`` of a unit per usable CPU, so the CPUs that no
+    worker's task occupies run ``build_B`` chunks on helper threads. The
+    results come back in index order, so the earliest failing index raises,
+    with its type, message and payload; the tasks not yet started are then
+    cancelled. Every worker is reaped before this returns, and the
+    impedances the workers integrated join this process's pair memo."""
     cpus = _usable_cpus()
     workers = min(n, cpus)
     if workers < 2:
@@ -176,16 +180,17 @@ def _parallel_map(task, n: int) -> list:
     # may be a closure; it is never pickled
     context = multiprocessing.get_context("fork")
     budget = channel.CpuBudget(cpus, context)
-    pool = ProcessPoolExecutor(workers, context, initializer=_start_worker,
-                               initargs=(task, budget))
-    try:
-        results = []
-        for result, pairs in pool.map(_run_in_worker, range(n)):
-            impedance._remember_pairs(pairs)
-            results.append(result)
-        return results
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    with single_threaded_blas():
+        pool = ProcessPoolExecutor(workers, context, initializer=_start_worker,
+                                   initargs=(task, budget))
+        try:
+            results = []
+            for result, pairs in pool.map(_run_in_worker, range(n)):
+                impedance._remember_pairs(pairs)
+                results.append(result)
+            return results
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _grid(request: SweepRequest, read, model_sink=None) -> list[tuple]:
@@ -231,12 +236,22 @@ def _power_sweep(request: SweepRequest, model_sink) -> SweepResult:
 
     with single_threaded_blas():
         pairs, per_pair = zip(*(point for _, point in _grid(request, read, model_sink)))
+
+        def trials_at(i):
+            p_dbm, p_t, _ = powers[i]
+            return mc_rmse_pairs(scenario, pairs, p_t, request.trials,
+                                 noise_seed(scenario.rng_seed, p_dbm),
+                                 noiseless=request.noiseless)
+
+        if request.trials == 0:
+            per_power = [None] * len(powers)
+        elif request.noiseless:  # one solve per pair: not worth a fork
+            per_power = [trials_at(i) for i in range(len(powers))]
+        else:
+            per_power = _parallel_map(trials_at, len(powers))
         rows = []
-        for (p_dbm, p_t, gamma), reports in zip(powers, zip(*per_pair)):
-            if request.trials > 0:
-                rmses = mc_rmse_pairs(scenario, pairs, p_t, request.trials,
-                                      noise_seed(scenario.rng_seed, p_dbm),
-                                      noiseless=request.noiseless)
+        for (p_dbm, _, _), reports, rmses in zip(powers, zip(*per_pair), per_power):
+            if rmses is not None:
                 reports = [replace(rep, rmse=rmse) for rep, rmse in zip(reports, rmses)]
             rows += [({"p_t_dbm": p_dbm, "d_over_lambda": d}, rep)
                      for d, rep in zip(request.spacing_grid, reports)]

@@ -11,7 +11,8 @@ import weakref
 import numpy as np
 import pytest
 
-from ris_mcrb import bounds, channel, cli, experiments, impedance
+from ris_mcrb import _blas, bounds, channel, cli, experiments, impedance
+from ris_mcrb._blas import single_threaded_blas
 from ris_mcrb.bounds import bias_trace, crlb, lower_bound, mc_rmse
 from ris_mcrb.channel import model_pair, noise_seed, sample_loads
 from ris_mcrb.cli import main
@@ -990,6 +991,19 @@ class TestParallelSweeps:
             lambda i: [get() for get, _ in blas_runtimes], 2)
         assert counts == [[1] * len(blas_runtimes)] * 2
 
+    def test_idle_workers_burn_no_cpu(self, monkeypatch):
+        # a BLAS setter call after the fork restarts OpenBLAS's thread
+        # server, whose thread spins: 0.1-0.25 s of CPU time over this
+        # sleep on a 2-vCPU host
+        pooled_sweeps(monkeypatch)
+
+        def sleeper(i):
+            started = time.process_time()
+            time.sleep(0.3)
+            return time.process_time() - started
+
+        assert max(experiments._parallel_map(sleeper, 2)) < 0.05
+
     def test_workers_count_in_the_budget(self, monkeypatch):
         # a unit per usable CPU, and a running task holds one of them
         pooled_sweeps(monkeypatch)
@@ -1148,6 +1162,107 @@ class TestParallelSweeps:
         assert [get() for get, _ in blas_runtimes] == [3] * len(blas_runtimes)
         assert seen == [[1] * len(blas_runtimes)] * 2
         assert text == out.read_text()
+
+
+class TestPooledPowerSweeps:
+    """A power sweep's Monte-Carlo powers run as one worker task each,
+    and fail as the inline loop fails."""
+
+    POWERS = [0.0, 20.0, 40.0, 60.0]
+
+    def request(self, scenario, **kwargs):
+        return SweepRequest(kind="mc_rmse", scenario=scenario,
+                            power_grid=self.POWERS, spacing_grid=[0.05, 0.5],
+                            **kwargs)
+
+    def test_no_power_runs_its_trials_in_the_caller(self, small_scenario,
+                                                     monkeypatch, tmp_path):
+        log = tmp_path / "pids"
+        real = experiments.mc_rmse_pairs
+
+        def logged(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "mc_rmse_pairs", logged)
+        pooled_sweeps(monkeypatch)
+        run_mc_rmse(self.request(small_scenario, trials=4))
+        pids = [int(line) for line in log.read_text().split()]
+        assert len(pids) == len(self.POWERS)
+        assert os.getpid() not in pids
+
+    def test_failing_power_raises_as_inline(self, small_scenario, monkeypatch):
+        # the second of four powers fails; its error crosses the pool with
+        # its message and payload
+        real = experiments.mc_rmse_pairs
+        failing = dbm_to_watts(self.POWERS[1])
+
+        def fail_second(scenario, pairs, p_t, *args, **kwargs):
+            if p_t == failing:
+                raise DegenerateDesignError("estimation model: rank deficient",
+                                            rcond=2e-17)
+            return real(scenario, pairs, p_t, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "mc_rmse_pairs", fail_second)
+        request = self.request(small_scenario, trials=4)
+        raised = []
+        for spread in (inline_sweeps, pooled_sweeps):
+            spread(monkeypatch)
+            with pytest.raises(DegenerateDesignError) as exc_info:
+                run_mc_rmse(request)
+            raised.append((str(exc_info.value), exc_info.value.rcond))
+            assert multiprocessing.active_children() == []
+        assert raised[1] == raised[0] == ("estimation model: rank deficient", 2e-17)
+
+    @pytest.mark.parametrize("runner,kwargs", [
+        (run_mc_rmse, {"trials": 3, "noiseless": True}),
+        (run_lb_vs_power, {"trials": 0}),
+    ], ids=["noiseless", "no-trials"])
+    def test_inline_power_paths_fork_no_pool(self, small_scenario, monkeypatch,
+                                             runner, kwargs):
+        def refuse(task, n):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(experiments, "_parallel_map", refuse)
+        pooled_sweeps(monkeypatch)
+        request = power_request(small_scenario, runner, power_grid=self.POWERS,
+                                spacing_grid=[0.05, 0.5], **kwargs)
+        assert len(runner(request).rows) == 2 * len(self.POWERS)
+
+
+class FakeBlas:
+    """Thread-count controls of fake runtimes, recording every setter call."""
+
+    def __init__(self, *counts):
+        self.counts = list(counts)
+        self.calls = []
+
+    def controls(self):
+        def control(k):
+            def set_(count):
+                self.calls.append((k, count))
+                self.counts[k] = count
+            return (lambda: self.counts[k]), set_
+        return [control(k) for k in range(len(self.counts))]
+
+
+class TestSingleThreadedBlas:
+    def test_no_setter_runs_at_one_thread(self, monkeypatch):
+        blas = FakeBlas(1, 1)
+        monkeypatch.setattr(_blas, "openblas_thread_controls", blas.controls)
+        with single_threaded_blas():
+            assert blas.counts == [1, 1]
+        assert blas.calls == []
+
+    def test_restores_only_changed_counts(self, monkeypatch):
+        blas = FakeBlas(1, 4, 1)
+        monkeypatch.setattr(_blas, "openblas_thread_controls", blas.controls)
+        with single_threaded_blas():
+            assert blas.calls == [(1, 1)]
+            blas.counts[2] = 3  # changed by a callee, not through a setter
+        assert blas.calls == [(1, 1), (1, 4), (2, 1)]
+        assert blas.counts == [1, 4, 1]
 
 
 def computation_errors():
