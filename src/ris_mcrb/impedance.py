@@ -12,15 +12,29 @@ the integrand is smooth. The rule is fixed: each panel is integrated with
 carries the last two estimates. A non-finite estimate can never converge,
 so it raises ``ComputationError`` at once.
 
-An estimate evaluates the integrand on the tensor grid of nodes. The
-parts that depend only on the wavenumber, both half lengths and the
-order (the node differences z - xi, the weights and the current-profile
-tensor) are cached for orders up to ``2 * BASE_ORDER``, which nearly
-every estimate stops at; higher orders build them per estimate, so no
-large tensor outlives its estimate. The kernel is evaluated in real
-arithmetic on the real and imaginary parts, with the roundings numpy's
-complex loops apply to the same formula, so every estimate equals the
-plain complex expression bit for bit.
+An estimate evaluates the integrand once per symmetry orbit of the
+tensor grid of nodes and expands the values to the full tensor, whose
+contraction with the weights is unchanged. ``leggauss`` returns nodes
+and weights that are symmetric bit for bit, so each split axis is
+antisymmetric. When both half lengths are equal, both axes share that
+node set, and the node differences z - xi and the current-profile tensor
+are anti-transpose symmetric bit for bit: cell (i, j) of the n x n grid
+equals cell (n-1-j, n-1-i). An in-plane pair (rho2 == 0, every RIS-RIS
+pair and every self term) is also transpose symmetric: transposition
+only negates z - xi, and u^2 = (z - xi)^2. Every cell of an orbit thus
+has the inputs of its representative, and every cell and the summation
+are those of the full tensor, so the estimate keeps its bits. The kernel
+is evaluated on (n^2+n)/2 cells for a staggered pair (the Tx and Rx
+couplings), (n^2+2n)/4 for an in-plane pair and all n^2 when the half
+lengths differ. The representatives' node differences and profile
+values, the weights and the map from every cell to its representative
+depend only on the wavenumber, both half lengths, the order and whether
+the pair is in plane. They are cached for orders up to
+``2 * BASE_ORDER``, which nearly every estimate stops at; higher orders
+build them per estimate, so no large tensor outlives its estimate. The
+kernel is evaluated in real arithmetic on the real and imaginary parts,
+with the roundings numpy's complex loops apply to the same formula, so
+every estimate equals the plain complex expression bit for bit.
 
 The self-impedance case evaluates the same kernel with the source point
 displaced to the wire surface (radial offset = wire radius, no axial
@@ -95,30 +109,78 @@ def _split_axis(h: float, order: int):
     return nodes, weights
 
 
-def _build_node_grid(k0, hp, hq, order):
+def _build_orbits(order, antitranspose, transpose):
+    """The symmetry orbits of the cells (i, j) of the n x n node grid,
+    n = 2 order. Anti-transposition maps a cell to (n-1-j, n-1-i) and
+    transposition to (j, i). Each orbit is represented by its one cell
+    with i + j < n (under anti-transposition) and i <= j (under
+    transposition). Returns the mask of the representatives and the map
+    from every cell to its representative's position among them in
+    row-major order; the map is of numpy's index type, which a gather
+    would otherwise convert it to on every estimate."""
+    cells = np.arange(2 * order)
+    represents = np.ones((2 * order, 2 * order), dtype=bool)
+    if transpose:
+        represents &= cells[:, None] <= cells[None, :]
+    if antitranspose:
+        represents &= cells[:, None] + cells[None, :] < 2 * order
+    # 1-based positions on the representatives and 0 elsewhere; each
+    # symmetry in turn fills the cells whose image is filled, which
+    # reaches every cell, since each orbit holds one representative
+    cell_map = np.cumsum(represents, dtype=np.int32).reshape(represents.shape)
+    cell_map *= represents
+    if transpose:
+        cell_map = np.maximum(cell_map, cell_map.T)
+    if antitranspose:
+        cell_map = np.maximum(cell_map, cell_map[::-1, ::-1].T)
+    cell_map -= 1
+    cell_map = cell_map.astype(np.intp)
+    for arr in (represents, cell_map):
+        arr.flags.writeable = False
+    return represents, cell_map
+
+
+def _build_node_grid(k0, hp, hq, order, transpose):
     """The parts of a tensor estimate that do not depend on the offsets:
-    the node differences z - xi, the weights of both axes and the current
-    profile tensor s(xi) s(z) / (sin(k0 hp) sin(k0 hq))."""
+    the node differences z - xi and the current profile
+    s(xi) s(z) / (sin(k0 hp) sin(k0 hq)) on the representatives of the
+    grid's symmetry orbits, the weights of both axes and the map from
+    every cell to its representative. Equal half lengths give both axes
+    one antisymmetric node set, so both tensors are anti-transpose
+    symmetric; ``transpose`` also folds the transposed cells together."""
     xi, w_xi = _split_axis(hp, order)
     z, w_z = _split_axis(hq, order)
-    grid = z[None, :] - xi[:, None]
-    profile = np.sin(k0 * (hp - np.abs(xi)))[:, None] * np.sin(k0 * (hq - np.abs(z)))[None, :]
+    represents, cell_map = _orbits(order, hp == hq, transpose)
+    grid = (z[None, :] - xi[:, None])[represents]
+    profile = (np.sin(k0 * (hp - np.abs(xi)))[:, None]
+               * np.sin(k0 * (hq - np.abs(z)))[None, :])[represents]
     profile /= math.sin(k0 * hp) * math.sin(k0 * hq)
     for arr in (grid, w_xi, w_z, profile):
         arr.flags.writeable = False
-    return grid, w_xi, w_z, profile
+    return grid, w_xi, w_z, profile, cell_map
 
 
 # Orders up to 2 * BASE_ORDER cover nearly every estimate (most pairs
 # converge at the first refinement); an entry at order 1024 would hold
-# two 32 MB tensors, so higher orders build their grid per estimate.
+# a 34 MB cell map and two vectors of up to 34 MB, so higher orders
+# build their orbits and grid per estimate.
+_cached_orbits = lru_cache(maxsize=8)(_build_orbits)
 _cached_node_grid = lru_cache(maxsize=16)(_build_node_grid)
 
 
-def _node_grid(k0, hp, hq, order):
+def _orbits(order, antitranspose, transpose):
     if order <= 2 * BASE_ORDER:
-        return _cached_node_grid(k0, hp, hq, order)
-    return _build_node_grid(k0, hp, hq, order)
+        return _cached_orbits(order, antitranspose, transpose)
+    return _build_orbits(order, antitranspose, transpose)
+
+
+def _node_grid(k0, hp, hq, order, in_plane):
+    # an in-plane pair (rho2 == 0) of equal half lengths makes u^2
+    # transpose symmetric too
+    transpose = in_plane and hp == hq
+    if order <= 2 * BASE_ORDER:
+        return _cached_node_grid(k0, hp, hq, order, transpose)
+    return _build_node_grid(k0, hp, hq, order, transpose)
 
 
 # the finiteness check replaces the warnings of the overflow or division
@@ -128,12 +190,17 @@ def _tensor_estimate(k0, hp, hq, rho1, rho2, order):
     # The integrand is e^{-j k0 r} / r * s(xi) s(z) * P(u, r) with
     # u = z - xi + rho2, r = sqrt(rho1^2 + u^2) and the near-field
     # polynomial P = k0^2 - j k0/r - (k0^2 u^2 + 1)/r^2 + 3j k0 u^2/r^3
-    # + 3 u^2/r^4. Only e^{-j k0 r} and the final product with P are
-    # complex; every real term is computed in real arithmetic with the
-    # roundings numpy's complex loops give the same formula (a complex
-    # divided by a real r is multiplied by 1/r), so the estimate keeps its
-    # bits. At most four real and two complex tensors are alive at once.
-    grid, w_xi, w_z, profile = _node_grid(k0, hp, hq, order)
+    # + 3 u^2/r^4. It is evaluated on one cell per symmetry orbit of the
+    # node grid, where every cell of the orbit has the same inputs, and
+    # expanded to the full tensor for the contraction, so each cell's
+    # value and the summation are those of the whole tensor. Only
+    # e^{-j k0 r} and the final product with P are complex; every real
+    # term is computed in real arithmetic with the roundings numpy's
+    # complex loops give the same formula (a complex divided by a real r
+    # is multiplied by 1/r), so the estimate keeps its bits. At most four
+    # real and two complex vectors over the representatives are alive at
+    # once, and only the kernel's when it is expanded.
+    grid, w_xi, w_z, profile, cell_map = _node_grid(k0, hp, hq, order, rho2 == 0.0)
     u2 = grid + rho2
     del grid
     u2 *= u2
@@ -163,7 +230,8 @@ def _tensor_estimate(k0, hp, hq, rho1, rho2, order):
     u2 /= r2
     np.add(r, u2, out=poly.real)               # + 3 u^2/r^4
     kernel *= poly
-    value = w_xi @ kernel @ w_z
+    del poly, u2, r, r2, inv_r
+    value = w_xi @ kernel[cell_map] @ w_z
     if not np.isfinite(value):
         raise ComputationError(
             f"impedance quadrature estimate {complex(value)} at order {order} "

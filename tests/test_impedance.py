@@ -255,9 +255,12 @@ class TestTensorKernel:
             want = complex_tensor_estimate(k0, H, H, rho1, rho2, order)
             assert impedance._tensor_estimate(k0, H, H, rho1, rho2, order) == want
 
+    # in-plane pairs (rho2 = +-0) take the four-fold orbits, staggered
+    # ones the two-fold, and unequal half lengths every cell
     @settings(deadline=None, max_examples=60)
     @given(rho1=st.floats(0.002 * LAM, 40.0 * LAM),
-           rho2=st.floats(-40.0 * LAM, 40.0 * LAM),
+           rho2=st.one_of(st.sampled_from([0.0, -0.0]),
+                          st.floats(-40.0 * LAM, 40.0 * LAM)),
            order=st.sampled_from([16, 32, 64]),
            hq=st.sampled_from([H, 0.75 * H]))
     def test_bit_identical_property(self, rho1, rho2, order, hq):
@@ -265,13 +268,41 @@ class TestTensorKernel:
         want = complex_tensor_estimate(k0, H, hq, rho1, rho2, order)
         assert impedance._tensor_estimate(k0, H, hq, rho1, rho2, order) == want
 
+    @pytest.mark.parametrize("order", [16, 32])
+    @pytest.mark.parametrize("hq,rho2,folds", [
+        (H, 3e-4, 2), (H, 0.0, 4), (H, -0.0, 4), (0.75 * H, 3e-4, 1), (0.75 * H, 0.0, 1)])
+    def test_orbit_map(self, order, hq, rho2, folds):
+        # every cell's kernel inputs, u^2 = (z - xi + rho2)^2 and the
+        # profile tensor built on the full grid, equal its representative's
+        k0 = C28.wavenumber
+        grid, w_xi, w_z, profile, cell_map = impedance._node_grid(
+            k0, H, hq, order, rho2 == 0.0)
+        n = 2 * order
+        count = {1: n * n, 2: (n * n + n) // 2, 4: (n * n + 2 * n) // 4}[folds]
+        assert len(grid) == len(profile) == count
+        assert cell_map.shape == (n, n)
+        xi, want_w_xi = impedance._split_axis(H, order)
+        z, want_w_z = impedance._split_axis(hq, order)
+        assert np.array_equal(w_xi, want_w_xi) and np.array_equal(w_z, want_w_z)
+        full_grid = z[None, :] - xi[:, None]
+        full_profile = (np.sin(k0 * (H - np.abs(xi)))[:, None]
+                        * np.sin(k0 * (hq - np.abs(z)))[None, :])
+        full_profile /= math.sin(k0 * H) * math.sin(k0 * hq)
+        assert np.array_equal(((grid + rho2) ** 2)[cell_map], (full_grid + rho2) ** 2)
+        assert np.array_equal(profile[cell_map], full_profile)
+        if folds < 4:
+            # without the transposition, z - xi itself agrees too
+            assert np.array_equal(grid[cell_map], full_grid)
+
     def test_high_orders_bypass_grid_cache(self):
         k0 = C28.wavenumber
         impedance._tensor_estimate(k0, H, H, R, 0.0, 2 * impedance.BASE_ORDER)
         size = impedance._cached_node_grid.cache_info().currsize
-        assert size > 0
+        orbits = impedance._cached_orbits.cache_info().currsize
+        assert size > 0 and orbits > 0
         impedance._tensor_estimate(k0, H, H, R, 0.0, 1024)
         assert impedance._cached_node_grid.cache_info().currsize == size
+        assert impedance._cached_orbits.cache_info().currsize == orbits
 
     def test_peak_memory_at_order_256(self):
         # The complex expression peaked at 23_086_496 bytes here: tracemalloc
