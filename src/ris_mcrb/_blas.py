@@ -4,8 +4,8 @@ The BLAS calls of a sweep are small, and the sweep's worker processes
 and their ``build_B`` helper threads already keep one thread per usable
 CPU busy (``channel.CpuBudget``), so extra BLAS threads would only contend
 with them for cores; a threaded reduction may also sum in another order.
-The sweep runners and ``cli.main`` therefore run every loaded OpenBLAS
-runtime at one thread and restore its count after.
+Each sweep runner therefore runs every loaded OpenBLAS runtime at one
+thread and restores its count when it returns.
 
 A runtime's setter runs only when its count is not already the target.
 OpenBLAS's fork handler shuts its thread server down, and a setter call

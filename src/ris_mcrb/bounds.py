@@ -47,8 +47,8 @@ TRIAL_BLOCK = 64
 class _LsqFactor:
     """Economy QR of a complex model matrix with a condition guard.
 
-    LAPACK ``trtrs``, BLAS ``gemm`` and ``q^H`` are fetched once, so a solve
-    is one matrix product and one ``trtrs`` call: the call
+    LAPACK ``trtrs`` and BLAS ``gemm`` are fetched once, so a solve is
+    one matrix product and one ``trtrs`` call: the call
     ``scipy.linalg.solve_triangular`` makes for the memory layout of R
     (``qr`` returns it C-ordered, which is solved as the lower system
     R^T), without that wrapper's per-call checks.
@@ -66,7 +66,6 @@ class _LsqFactor:
                 rcond=float(rcond),
             )
         self.rcond = float(rcond)
-        self._qh = self.q.conj().T
         self._gemm = get_blas_funcs("gemm", (self.q,))
         self._trtrs = get_lapack_funcs("trtrs", (self.r,))
         # trtrs expects Fortran order; a C-ordered R is passed transposed
@@ -86,7 +85,7 @@ class _LsqFactor:
 
     def solve(self, rhs):
         """Least-squares solution argmin ||d @ x - rhs||."""
-        return self._solve_r(self._qh @ rhs)
+        return self._solve_r(self.q.conj().T @ rhs)
 
     def solve_rows(self, rows):
         """Least-squares solution of every row of ``rows``, as the columns

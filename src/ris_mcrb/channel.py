@@ -64,6 +64,9 @@ _MASK128 = 2 ** 128 - 1
 # Trials per batch of stream states that trial_generators derives at once,
 # so its memory does not grow with the trial count.
 TRIAL_CHUNK = 4096
+# A power's trial count stays below this: a trial's index is one uint32 word
+# of its stream's spawn key.
+TRIAL_LIMIT = 2 ** 32
 
 # Reciprocal condition estimate below which a system is treated as singular.
 RCOND_FLOOR = 1e-13
@@ -159,10 +162,9 @@ def trial_generators(seq: np.random.SeedSequence, trials: int):
     streams' states are derived in bulk, ``TRIAL_CHUNK`` trials at a time
     (``_trial_states``). One PCG64 generator is reused for every trial: each
     yielded generator is valid only until the next one is requested.
-    Raises ``ValueError`` unless ``trials < 2**32``, since the trial index
-    is one uint32 word of the spawn key.
+    Raises ``ValueError`` unless ``trials < TRIAL_LIMIT`` (2**32).
     """
-    if trials >= 2 ** 32:
+    if trials >= TRIAL_LIMIT:
         raise ValueError(f"trials must be < 2**32, got {trials}")
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)

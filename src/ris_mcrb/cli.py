@@ -9,16 +9,10 @@ kind and runner, so ``_run`` builds every request in one place.
 Exit codes: 0 success, 2 config/validation error, 3 numerical failure
 (singular systems, non-convergent quadrature), 4 I/O failure.
 
-Each ``main`` call, like each sweep runner inside it, runs every loaded
-OpenBLAS runtime single-threaded and restores the runtimes' thread counts
-when it returns. The spacing sweeps spread their spacings, and the power
-sweeps their Monte-Carlo powers, over one worker process per usable CPU,
-and the BLAS calls of a task are small, so BLAS threads would only
-oversubscribe the cores; a threaded reduction may also sum in another
-order. Pinned, the CSV bytes depend neither on the host's core count nor
-on ``OPENBLAS_NUM_THREADS``. The pin is set here, before any worker is
-forked, so the workers inherit it and the runners nested inside find
-every runtime at one thread already and call no setter.
+The CLI sets no BLAS thread count: each sweep runner runs its BLAS work
+single-threaded and restores the caller's counts when it returns, so the
+CSV bytes depend neither on the host's core count nor on
+``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
@@ -29,7 +23,6 @@ import os
 import re
 import sys
 
-from ._blas import single_threaded_blas
 from .errors import ComputationError, ConfigError
 from .experiments import (
     DEFAULT_CRLB_POWER_DBM,
@@ -206,24 +199,23 @@ def _run(args):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    with single_threaded_blas():
-        args = build_parser().parse_args(_fold_negative_lists(argv))
-        try:
-            result = _run(args)
-            if args.out:
-                emit_csv(result, args.out)
-            else:
-                sys.stdout.write(csv_text(result))
-        except (ConfigError, ValueError) as exc:
-            print(f"ris-mcrb: config error: {exc}", file=sys.stderr)
-            return 2
-        except ComputationError as exc:
-            print(f"ris-mcrb: numerical failure: {exc}", file=sys.stderr)
-            return 3
-        except OSError as exc:
-            print(f"ris-mcrb: I/O error: {exc}", file=sys.stderr)
-            return 4
-        return 0
+    args = build_parser().parse_args(_fold_negative_lists(argv))
+    try:
+        result = _run(args)
+        if args.out:
+            emit_csv(result, args.out)
+        else:
+            sys.stdout.write(csv_text(result))
+    except (ConfigError, ValueError) as exc:
+        print(f"ris-mcrb: config error: {exc}", file=sys.stderr)
+        return 2
+    except ComputationError as exc:
+        print(f"ris-mcrb: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        print(f"ris-mcrb: I/O error: {exc}", file=sys.stderr)
+        return 4
+    return 0
 
 
 if __name__ == "__main__":

@@ -39,12 +39,11 @@ import csv
 import io
 import math
 import os
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import __version__, channel, impedance
+from . import channel, impedance
 from ._blas import single_threaded_blas
 from .bounds import BoundReport, FactoredPair, mc_rmse_pairs, snr
 from .channel import model_pair, noise_seed, sample_loads
@@ -64,8 +63,10 @@ DEFAULT_CRLB_POWER_DBM = 40.0
 
 @dataclass(frozen=True)
 class SweepRequest:
-    """One experiment family instance; grids must be finite and strictly
-    increasing, and sizes must not repeat."""
+    """One experiment family instance, checked whole before any point is
+    built: grids must be finite and strictly increasing, sizes at least 1x1
+    and distinct, trials fewer than ``channel.TRIAL_LIMIT``, and a
+    ``crlb_vs_spacing`` sweep has exactly one power."""
 
     kind: str
     scenario: Scenario
@@ -92,12 +93,17 @@ class SweepRequest:
             raise ValueError("spacing_grid must not be empty")
         if self.kind in ("bias_vs_spacing", "crlb_vs_spacing") and not self.sizes:
             raise ValueError("sizes must not be empty")
+        if self.kind == "crlb_vs_spacing" and len(self.power_grid) != 1:
+            raise ValueError("crlb_vs_spacing uses exactly one transmit power")
         if len({tuple(s) for s in self.sizes}) != len(self.sizes):
             raise ValueError("sizes must not repeat")
+        for n1, n2 in self.sizes:
+            if n1 < 1 or n2 < 1:
+                raise ValueError(f"sizes must be at least 1x1, got {n1}x{n2}")
         if self.kind == "mc_rmse" and self.trials < 1:
             raise ValueError("mc_rmse sweeps need trials >= 1")
-        if self.trials < 0:
-            raise ValueError("trials must be >= 0")
+        if not 0 <= self.trials < channel.TRIAL_LIMIT:
+            raise ValueError(f"trials must be >= 0 and < 2**32, got {self.trials}")
 
 
 @dataclass
@@ -106,7 +112,6 @@ class SweepResult:
 
     kind: str
     rows: list[tuple[dict, BoundReport | None]]
-    metadata: dict
 
 
 def _build_point(scenario: Scenario, d_over_lambda: float, n1: int, n2: int):
@@ -223,7 +228,6 @@ def _grid(request: SweepRequest, read, model_sink=None) -> list[tuple]:
 
 def _power_sweep(request: SweepRequest, model_sink) -> SweepResult:
     scenario = request.scenario
-    started = time.perf_counter()
     # convert first, so an unusable power fails before any model is built
     powers = []
     for p_dbm in request.power_grid:
@@ -255,8 +259,7 @@ def _power_sweep(request: SweepRequest, model_sink) -> SweepResult:
                 reports = [replace(rep, rmse=rmse) for rep, rmse in zip(reports, rmses)]
             rows += [({"p_t_dbm": p_dbm, "d_over_lambda": d}, rep)
                      for d, rep in zip(request.spacing_grid, reports)]
-    return SweepResult(kind=request.kind, rows=rows,
-                       metadata=_metadata(scenario, started))
+    return SweepResult(kind=request.kind, rows=rows)
 
 
 def run_lb_vs_power(request: SweepRequest, model_sink=None) -> SweepResult:
@@ -276,11 +279,8 @@ def run_mc_rmse(request: SweepRequest, model_sink=None) -> SweepResult:
 
 def _spacing_sweep(request: SweepRequest, read) -> SweepResult:
     """One ``read(pair)`` report per (spacing, size) point, spacing-major."""
-    started = time.perf_counter()
     with single_threaded_blas():
-        rows = _grid(request, read)
-    return SweepResult(kind=request.kind, rows=rows,
-                       metadata=_metadata(request.scenario, started))
+        return SweepResult(kind=request.kind, rows=_grid(request, read))
 
 
 def run_bias_vs_spacing(request: SweepRequest) -> SweepResult:
@@ -295,8 +295,6 @@ def run_crlb_vs_spacing(request: SweepRequest) -> SweepResult:
     """Matched-model bound versus element spacing at one fixed power."""
     if request.kind != "crlb_vs_spacing":
         raise ValueError(f"expected kind 'crlb_vs_spacing', got {request.kind!r}")
-    if len(request.power_grid) != 1:
-        raise ValueError("crlb_vs_spacing uses exactly one transmit power")
     p_t = dbm_to_watts(request.power_grid[0])
     gamma = snr(p_t, request.scenario.noise.sigma2)
     return _spacing_sweep(request, lambda pair: BoundReport(
@@ -312,7 +310,6 @@ def run_impedance_sweep(scenario: Scenario,
         raise ValueError("distance grid values must be positive and finite")
     if any(b <= a for a, b in zip(distances_over_lambda, distances_over_lambda[1:])):
         raise ValueError("distance grid must be strictly increasing")
-    started = time.perf_counter()
     h = scenario.element_half_length
     r = scenario.element_wire_radius
     lam = scenario.constants.wavelength
@@ -327,17 +324,7 @@ def run_impedance_sweep(scenario: Scenario,
                  "abs_z_ohm": abs(z)},
                 None,
             ))
-    return SweepResult(kind="impedance_sweep", rows=rows,
-                       metadata=_metadata(scenario, started))
-
-
-def _metadata(scenario: Scenario, started: float) -> dict:
-    return {
-        "scenario": dict(scenario.config),
-        "master_seed": scenario.rng_seed,
-        "version": __version__,
-        "wall_clock_s": time.perf_counter() - started,
-    }
+    return SweepResult(kind="impedance_sweep", rows=rows)
 
 
 def _fmt(value) -> str:

@@ -29,12 +29,13 @@ couplings), (n^2+2n)/4 for an in-plane pair and all n^2 when the half
 lengths differ. The representatives' node differences and profile
 values, the weights and the map from every cell to its representative
 depend only on the wavenumber, both half lengths, the order and whether
-the pair is in plane. They are cached for orders up to
-``2 * BASE_ORDER``, which nearly every estimate stops at; higher orders
-build them per estimate, so no large tensor outlives its estimate. The
-kernel is evaluated in real arithmetic on the real and imaginary parts,
-with the roundings numpy's complex loops apply to the same formula, so
-every estimate equals the plain complex expression bit for bit.
+the pair is in plane. They are built together and cached as one entry
+for orders up to ``2 * BASE_ORDER``, which nearly every estimate stops
+at; higher orders build them per estimate, so no large tensor outlives
+its estimate. The kernel is evaluated in real arithmetic on the real and
+imaginary parts, with the roundings numpy's complex loops apply to the
+same formula, so every estimate equals the plain complex expression bit
+for bit.
 
 The self-impedance case evaluates the same kernel with the source point
 displaced to the wire surface (radial offset = wire radius, no axial
@@ -150,7 +151,7 @@ def _build_node_grid(k0, hp, hq, order, transpose):
     symmetric; ``transpose`` also folds the transposed cells together."""
     xi, w_xi = _split_axis(hp, order)
     z, w_z = _split_axis(hq, order)
-    represents, cell_map = _orbits(order, hp == hq, transpose)
+    represents, cell_map = _build_orbits(order, hp == hq, transpose)
     grid = (z[None, :] - xi[:, None])[represents]
     profile = (np.sin(k0 * (hp - np.abs(xi)))[:, None]
                * np.sin(k0 * (hq - np.abs(z)))[None, :])[represents]
@@ -163,15 +164,8 @@ def _build_node_grid(k0, hp, hq, order, transpose):
 # Orders up to 2 * BASE_ORDER cover nearly every estimate (most pairs
 # converge at the first refinement); an entry at order 1024 would hold
 # a 34 MB cell map and two vectors of up to 34 MB, so higher orders
-# build their orbits and grid per estimate.
-_cached_orbits = lru_cache(maxsize=8)(_build_orbits)
+# build their grid per estimate.
 _cached_node_grid = lru_cache(maxsize=16)(_build_node_grid)
-
-
-def _orbits(order, antitranspose, transpose):
-    if order <= 2 * BASE_ORDER:
-        return _cached_orbits(order, antitranspose, transpose)
-    return _build_orbits(order, antitranspose, transpose)
 
 
 def _node_grid(k0, hp, hq, order, in_plane):

@@ -113,6 +113,29 @@ class TestSweepRequest:
             SweepRequest(kind="mc_rmse", scenario=small_scenario,
                          power_grid=[0.0], spacing_grid=[0.5])
 
+    @pytest.mark.parametrize("fields,match", [
+        (dict(kind="bias_vs_spacing", sizes=[(4, 4), (0, 4)]), "0x4"),
+        (dict(kind="crlb_vs_spacing", power_grid=[40.0], sizes=[(2, -1)]), "2x-1"),
+        (dict(kind="mc_rmse", power_grid=[0.0], trials=2**32), "2\\*\\*32"),
+        (dict(kind="mc_rmse", power_grid=[0.0], trials=2**32, noiseless=True),
+         "2\\*\\*32"),
+        (dict(kind="lb_vs_power", power_grid=[0.0], trials=2**32), "2\\*\\*32"),
+    ], ids=["empty-size", "negative-size", "mc-trials", "noiseless-trials",
+            "lb-trials"])
+    def test_rejects_request_before_any_point(self, small_scenario, fields, match):
+        with pytest.raises(ValueError, match=match):
+            SweepRequest(scenario=small_scenario, spacing_grid=[0.5], **fields)
+
+    def test_trial_bound_is_the_streams_bound(self, small_scenario, monkeypatch):
+        monkeypatch.setattr(channel, "TRIAL_LIMIT", 8)
+        fields = dict(kind="mc_rmse", scenario=small_scenario, power_grid=[0.0],
+                      spacing_grid=[0.5])
+        assert SweepRequest(trials=7, **fields).trials == 7
+        with pytest.raises(ValueError, match="trials"):
+            SweepRequest(trials=8, **fields)
+        with pytest.raises(ValueError, match="trials"):
+            channel.trial_generators(noise_seed(0, 0.0), 8)
+
 
 class TestLbVsPower:
     def test_matched_flag_makes_lb_equal_crlb(self, small_scenario):
@@ -249,11 +272,10 @@ class TestSpacingSweeps:
         assert report.crlb == crlb(d_true, gamma)
 
     def test_crlb_needs_single_power(self, small_scenario):
-        request = SweepRequest(kind="crlb_vs_spacing", scenario=small_scenario,
-                               power_grid=[20.0, 40.0], spacing_grid=[0.5],
-                               sizes=[(2, 2)])
         with pytest.raises(ValueError, match="one transmit power"):
-            run_crlb_vs_spacing(request)
+            SweepRequest(kind="crlb_vs_spacing", scenario=small_scenario,
+                         power_grid=[20.0, 40.0], spacing_grid=[0.5],
+                         sizes=[(2, 2)])
 
     def test_errors_annotated_with_grid_point(self):
         # half-wavelength elements are resonant, so the impedance
@@ -561,7 +583,7 @@ class TestImpedanceSweep:
 
 class TestCsvOutput:
     def test_empty_rows_give_header_only(self, tmp_path):
-        result = SweepResult(kind="bias_vs_spacing", rows=[], metadata={})
+        result = SweepResult(kind="bias_vs_spacing", rows=[])
         path = tmp_path / "empty.csv"
         emit_csv(result, path)
         assert path.read_text() == "d_over_lambda,n1,n2,sqrt_tr_bias\n"
@@ -731,19 +753,35 @@ class TestCli:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_blas_single_threaded_inside_main(self, monkeypatch, blas_runtimes):
+    @pytest.mark.parametrize("argv,spied", [
+        (["impedance-sweep", "--distances-over-lambda", "0.5"], "mutual_impedance"),
+        (["lb-vs-power", "--powers-dbm", "0", "--spacings-over-lambda", "0.5"],
+         "_build_point"),
+        (["bias-vs-spacing", "--spacings-over-lambda", "0.5", "--sizes", "2x2"],
+         "_build_point"),
+        (["crlb-vs-spacing", "--spacings-over-lambda", "0.5", "--sizes", "2x2"],
+         "_build_point"),
+        (["mc-rmse", "--powers-dbm", "0", "--spacings-over-lambda", "0.5",
+          "--trials", "2"], "_build_point"),
+    ], ids=["impedance-sweep", "lb-vs-power", "bias-vs-spacing", "crlb-vs-spacing",
+            "mc-rmse"])
+    def test_blas_single_threaded_inside_main(self, tmp_path, monkeypatch,
+                                              blas_runtimes, argv, spied):
+        # the runner pins BLAS around its own work; main sets no count
+        inline_sweeps(monkeypatch)
         seen = []
-        run = cli._run
+        real = getattr(experiments, spied)
 
-        def spy(args):
+        def spy(*args):
             seen.append([get() for get, _ in blas_runtimes])
-            return run(args)
+            return real(*args)
 
-        monkeypatch.setattr(cli, "_run", spy)
+        monkeypatch.setattr(experiments, spied, spy)
         for _, set_ in blas_runtimes:
             set_(2)
-        assert main(["impedance-sweep", "--distances-over-lambda", "0.5",
-                     "--out", os.devnull]) == 0
+        impedance._PAIR_MEMO.clear()
+        cfg = self.write_config(tmp_path)
+        assert main(argv + ["--config", cfg, "--out", os.devnull]) == 0
         assert seen == [[1] * len(blas_runtimes)]
 
     @pytest.mark.parametrize("argv,config,code", [
@@ -761,6 +799,32 @@ class TestCli:
         assert main(argv + ["--config", cfg, "--out", os.devnull]) == code
         assert [get() for get, _ in blas_runtimes] == [3] * len(blas_runtimes)
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["bias-vs-spacing", "--sizes", "4x4,0x4", "--spacings-over-lambda", "0.5"],
+        ["crlb-vs-spacing", "--sizes", "2x2,2x0", "--spacings-over-lambda", "0.5"],
+        ["mc-rmse", "--trials", "4294967296", "--spacings-over-lambda", "0.5"],
+        ["mc-rmse", "--noiseless", "--trials", "4294967296",
+         "--spacings-over-lambda", "0.5"],
+        ["lb-vs-power", "--trials", "4294967296", "--spacings-over-lambda", "0.5"],
+    ], ids=["empty-size", "crlb-empty-size", "mc-trials", "noiseless-trials",
+            "lb-trials"])
+    def test_bad_request_exits_before_any_point(self, tmp_path, capsys, monkeypatch,
+                                                argv):
+        # inline, so a point built by a spacing sweep would be seen here;
+        # a built point fails the test at once rather than running its trials
+        inline_sweeps(monkeypatch)
+        built = []
+
+        def refuse(*args):
+            built.append(args)
+            raise AssertionError("a grid point was built")
+
+        monkeypatch.setattr(experiments, "_build_point", refuse)
+        cfg = self.write_config(tmp_path)
+        assert main(argv + ["--config", cfg, "--out", os.devnull]) == 2
+        assert built == []
+        assert "config error" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         # half-wavelength dipoles put the current normalization at resonance
@@ -851,7 +915,7 @@ def captured_requests(monkeypatch, command):
 
     def runner(request, **kwargs):
         record.append((request, kwargs))
-        return SweepResult(kind=request.kind, rows=[], metadata={})
+        return SweepResult(kind=request.kind, rows=[])
 
     monkeypatch.setattr(cli, CLI_RUNNERS[command], runner)
     return record
