@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import get_blas_funcs, get_lapack_funcs, qr
 
+from ._blas import gemm, qr, trcon, trtrs
 from .channel import RCOND_FLOOR, _complex_form, realify_vec, trial_generators
 from .errors import DegenerateDesignError
 from .scenario import Scenario
@@ -47,8 +47,7 @@ TRIAL_BLOCK = 64
 class _LsqFactor:
     """Economy QR of a complex model matrix with a condition guard.
 
-    LAPACK ``trtrs`` and BLAS ``gemm`` are fetched once, so a solve is
-    one matrix product and one ``trtrs`` call: the call
+    A solve is one matrix product and one LAPACK ``trtrs`` call: the call
     ``scipy.linalg.solve_triangular`` makes for the memory layout of R
     (``qr`` returns it C-ordered, which is solved as the lower system
     R^T), without that wrapper's per-call checks.
@@ -56,8 +55,7 @@ class _LsqFactor:
 
     def __init__(self, d, context="model matrix"):
         self.b = _complex_form(d)
-        self.q, self.r = qr(self.b, mode="economic", check_finite=False)
-        trcon = get_lapack_funcs("trcon", (self.r,))
+        self.q, self.r = qr(self.b)
         rcond, info = trcon(self.r)
         if info != 0 or not np.isfinite(rcond) or rcond < RCOND_FLOOR:
             raise DegenerateDesignError(
@@ -66,8 +64,6 @@ class _LsqFactor:
                 rcond=float(rcond),
             )
         self.rcond = float(rcond)
-        self._gemm = get_blas_funcs("gemm", (self.q,))
-        self._trtrs = get_lapack_funcs("trtrs", (self.r,))
         # trtrs expects Fortran order; a C-ordered R is passed transposed
         if self.r.flags.f_contiguous:
             self._triangle = (self.r, False, 0)
@@ -77,7 +73,7 @@ class _LsqFactor:
     def _solve_r(self, b):
         """Solve R @ x = b, for a vector or a matrix b."""
         a, lower, trans = self._triangle
-        x, info = self._trtrs(a, b, lower=lower, trans=trans)
+        x, info = trtrs(a, b, lower=lower, trans=trans)
         if info != 0:
             raise DegenerateDesignError(
                 f"triangular solve failed (LAPACK trtrs info {info})")
@@ -93,7 +89,7 @@ class _LsqFactor:
         linked to: numpy's matmul would run in a second OpenBLAS, and two
         threaded runtimes taking turns stall each other: 7x slower per
         power on a 2-vCPU host."""
-        return self._solve_r(self._gemm(1.0, self.q, rows.T, trans_a=2))
+        return self._solve_r(gemm(1.0, self.q, rows.T, trans_a=2))
 
     def project(self, d_true, x_true) -> np.ndarray:
         """Complex least-squares projection of d_true @ x_true onto the
@@ -304,9 +300,10 @@ def mc_rmse_pairs(
     projected on its own and keeps its own running total in trial order,
     so its result equals (``==``) the separate ``mc_rmse`` call on that
     pair. ``noiseless`` trials are all the same trial, so each pair solves
-    once and adds that error ``trials`` times. ``pairs`` must be non-empty
-    and share the number of observations; a ``ValueError`` is raised before
-    any draw otherwise, naming both counts in the second case."""
+    once and its RMSE is that trial's error norm, whatever ``trials`` is.
+    ``pairs`` must be non-empty and share the number of observations; a
+    ``ValueError`` is raised before any draw otherwise, naming both counts
+    in the second case."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_power(p_t)
@@ -323,21 +320,20 @@ def mc_rmse_pairs(
                              f"pair 0 has {counts[0]}, pair {k} has {count}")
     means = [np.sqrt(p_t) * signal for _, signal, _ in models]
     sqrt_pt = math.sqrt(p_t)
-    totals = [0.0] * len(models)
 
     if noiseless:
-        for k, ((factor, _, z), mean) in enumerate(zip(models, means)):
+        rmses = []
+        for (factor, _, z), mean in zip(models, means):
             err = factor.solve(mean) / sqrt_pt - z
-            square = float(np.vdot(err, err).real)
-            for _ in range(trials):
-                totals[k] += square
-        return [math.sqrt(total / trials) for total in totals]
+            rmses.append(math.sqrt(float(np.vdot(err, err).real)))
+        return rmses
 
     # one row per trial: 2G standard normals in the stacked [Re; Im] order
     # of the real form, scaled in place, then each pair's mean plus noise
     observations = counts[0]
     sigma = math.sqrt(scenario.noise.sigma2 / 2.0)
     block = min(TRIAL_BLOCK, trials)
+    totals = [0.0] * len(models)
     draws = np.empty((block, 2 * observations))
     rhs = np.empty((block, observations), dtype=complex)
     rngs = trial_generators(noise_seed, trials)

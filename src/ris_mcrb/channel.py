@@ -38,8 +38,11 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+# imported with the package: numpy 2 would import it on first use, inside
+# the first sweep that draws loads or noise
+import numpy.random  # noqa: F401
 
+from ._blas import gecon, getrf, getrs
 from .errors import DegenerateDesignError, SingularModelError
 from .impedance import ImpedanceSet
 from .scenario import Scenario
@@ -239,7 +242,7 @@ def _singular(context: str, rcond) -> SingularModelError:
     )
 
 
-def _factor(getrf, gecon, z: np.ndarray, anorm: float, context: str):
+def _factor(z: np.ndarray, anorm: float, context: str):
     """LU-factor the Fortran-ordered ``z`` in place and guard it.
 
     ``anorm`` is the 1-norm of ``z`` before factoring; the 1-norm
@@ -469,8 +472,6 @@ def build_B(z_rs, z_ss_self, z_ss_mutual, load_seq) -> np.ndarray:
     off_abs = np.abs(mutual)
     off_sums = off_abs.sum(axis=0)
     coupling = np.square(off_abs, out=off_abs)
-    getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (mutual,))
-
     b = np.empty((loads.shape[0], n), dtype=complex)
 
     def solve_chunk(k):
@@ -492,7 +493,7 @@ def build_B(z_rs, z_ss_self, z_ss_mutual, load_seq) -> np.ndarray:
             np.copyto(z, mutual)
             z[diag, diag] = d[i]
             anorm = (off_sums + mag[i]).max()
-            lu, piv = _factor(getrf, gecon, z, anorm, f"configuration {g}")
+            lu, piv = _factor(z, anorm, f"configuration {g}")
             b[g], _ = getrs(lu, piv, z_rs)
 
     _run_chunks(solve_chunk, -(-loads.shape[0] // JACOBI_CHUNK))

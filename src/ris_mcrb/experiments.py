@@ -38,7 +38,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -176,8 +178,6 @@ def _parallel_map(task, n: int) -> list:
     workers = min(n, cpus)
     if workers < 2:
         return [task(i) for i in range(n)]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
     if "fork" not in multiprocessing.get_all_start_methods():
         return [task(i) for i in range(n)]
     # fork, not spawn: a forked worker starts with this process's imports

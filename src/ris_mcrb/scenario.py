@@ -136,7 +136,9 @@ class RisGrid:
                 f"expected {self.n1 * self.n2} element positions, "
                 f"got shape {positions.shape}"
             )
-        if len(np.unique(positions, axis=0)) != positions.shape[0]:
+        # sorted rows put equal rows (every coordinate ==) next to each other
+        ordered = positions[np.lexsort(positions.T)]
+        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
             raise ValueError("element positions must be pairwise distinct")
         object.__setattr__(self, "element_positions", positions)
 

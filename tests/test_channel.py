@@ -283,9 +283,9 @@ def factor_contexts(monkeypatch):
     real = channel._factor
     contexts = []
 
-    def wrapper(getrf, gecon, z, anorm, context):
+    def wrapper(z, anorm, context):
         contexts.append(context)
-        return real(getrf, gecon, z, anorm, context)
+        return real(z, anorm, context)
 
     monkeypatch.setattr(channel, "_factor", wrapper)
     return contexts
@@ -599,12 +599,12 @@ class TestBuildBHelpers:
         failed, begun = [], []
         late_failed = threading.Event()
 
-        def wrapper(getrf, gecon, z, anorm, context):
+        def wrapper(z, anorm, context):
             begun.append(int(context.split()[1]))
             if context == "configuration 5":
                 assert late_failed.wait(10.0)
             try:
-                return real(getrf, gecon, z, anorm, context)
+                return real(z, anorm, context)
             except SingularModelError:
                 failed.append(context)
                 raise

@@ -308,6 +308,19 @@ class TestMcRmseSweep:
         ((_, report),) = run_mc_rmse(request).rows
         assert report.rmse == pytest.approx(np.sqrt(report.tr_bias), rel=1e-12)
 
+    @pytest.mark.parametrize("trials", [1, 2000, 2**31])
+    def test_noiseless_row_is_bias_norm_at_any_trial_count(self, small_scenario,
+                                                           trials):
+        # every noiseless trial is the same trial, so the count costs
+        # nothing: 2**31 repeated additions would take minutes
+        request = SweepRequest(kind="mc_rmse", scenario=small_scenario,
+                               power_grid=[30.0], spacing_grid=[0.1],
+                               trials=trials, noiseless=True)
+        started = time.perf_counter()
+        ((_, report),) = run_mc_rmse(request).rows
+        assert time.perf_counter() - started < 5.0
+        assert report.rmse == pytest.approx(np.sqrt(report.tr_bias), rel=1e-13)
+
     def test_rmse_always_reported(self, small_scenario):
         request = SweepRequest(kind="mc_rmse", scenario=small_scenario,
                                power_grid=[0.0], spacing_grid=[0.5], trials=5)

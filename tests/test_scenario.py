@@ -83,6 +83,22 @@ class TestRisGrid:
             RisGrid(n1=1, n2=2, spacing=0.1, center=np.zeros(3),
                     element_positions=np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("duplicate", [
+        [0.1, 0.2, 0.0],    # the same bits as row 0, two rows away
+        [0.1, 0.2, -0.0],   # equal under ==, though the sign bit differs
+    ], ids=["same-bits", "signed-zero"])
+    def test_rejects_duplicate_rows_anywhere(self, duplicate):
+        rows = [[0.1, 0.2, 0.0], [0.1, -0.2, 0.0], [-0.1, 0.2, 0.0], duplicate]
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            RisGrid(n1=2, n2=2, spacing=0.1, center=np.zeros(3),
+                    element_positions=np.array(rows))
+
+    def test_accepts_rows_one_ulp_apart(self):
+        rows = np.array([[0.1, 0.2, 0.0], [0.1, np.nextafter(0.2, 1.0), 0.0]])
+        grid = RisGrid(n1=1, n2=2, spacing=0.1, center=np.zeros(3),
+                       element_positions=rows)
+        assert grid.num_elements == 2
+
     def test_holds_copies_of_positions(self):
         center = np.zeros(3)
         positions = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]])
