@@ -68,8 +68,8 @@ def _rebuild(cls, args):
     return exc
 
 
-def annotate(exc: ComputationError, label: str) -> ComputationError:
-    """Prefix a computation error's message with a location, in place, so
-    its type and payload (``rcond``, ``previous``, ``latest``) survive."""
+def annotate(exc: RisMcrbError, label: str) -> RisMcrbError:
+    """Prefix an error's message with a location, in place, so its type
+    and payload (``rcond``, ``previous``, ``latest``) survive."""
     exc.args = (f"{label}: {exc}",)
     return exc

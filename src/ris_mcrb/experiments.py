@@ -45,11 +45,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import channel, impedance
+from . import channel
 from ._blas import single_threaded_blas
 from .bounds import BoundReport, FactoredPair, mc_rmse_pairs, snr
 from .channel import model_pair, noise_seed, sample_loads
-from .errors import ComputationError, annotate
+from .errors import ComputationError, ConfigError, annotate
 from .impedance import build_impedance_set, mutual_impedance
 from .scenario import Radiator, Scenario, dbm_to_watts
 
@@ -116,17 +116,16 @@ class SweepResult:
     rows: list[tuple[dict, BoundReport | None]]
 
 
-def _build_point(scenario: Scenario, d_over_lambda: float, n1: int, n2: int):
-    sc = scenario.with_overrides(ris_spacing_over_lambda=float(d_over_lambda),
-                                 ris_n1=int(n1), ris_n2=int(n2))
+def _build_point(sc: Scenario):
     impedances = build_impedance_set(sc.tx, sc.rx, sc.ris_radiators(),
                                      sc.constants)
     return model_pair(impedances, sample_loads(sc))
 
 
-def _point_pair(request: SweepRequest, d, n1, n2, model_sink) -> FactoredPair:
-    """One grid point's pair; the pair is the only holder of its models."""
-    d_true, d_est, x_true = _build_point(request.scenario, d, n1, n2)
+def _point_pair(request: SweepRequest, sc, d, n1, n2, model_sink) -> FactoredPair:
+    """Grid point (d, n1, n2)'s pair, from its scenario ``sc``; the pair is
+    the only holder of its models."""
+    d_true, d_est, x_true = _build_point(sc)
     d_est = d_true if request.matched else d_est
     if model_sink is not None:
         model_sink(d, n1, n2, d_true, d_est)
@@ -152,13 +151,9 @@ def _start_worker(task, budget) -> None:
 
 
 def _run_in_worker(i: int):
-    """``task(i)``, counted in the sweep's CPU budget while it runs, with
-    the pair-memo entries it added, for the parent."""
-    known = set(impedance._PAIR_MEMO)
+    """``task(i)``, counted in the sweep's CPU budget while it runs."""
     with channel.cpu_budget.hold():
-        result = _worker_task(i)
-    return result, [(key, value) for key, value in impedance._PAIR_MEMO.items()
-                    if key not in known]
+        return _worker_task(i)
 
 
 def _parallel_map(task, n: int) -> list:
@@ -172,8 +167,7 @@ def _parallel_map(task, n: int) -> list:
     worker's task occupies run ``build_B`` chunks on helper threads. The
     results come back in index order, so the earliest failing index raises,
     with its type, message and payload; the tasks not yet started are then
-    cancelled. Every worker is reaped before this returns, and the
-    impedances the workers integrated join this process's pair memo."""
+    cancelled. Every worker is reaped before this returns."""
     cpus = _usable_cpus()
     workers = min(n, cpus)
     if workers < 2:
@@ -189,11 +183,7 @@ def _parallel_map(task, n: int) -> list:
         pool = ProcessPoolExecutor(workers, context, initializer=_start_worker,
                                    initargs=(task, budget))
         try:
-            results = []
-            for result, pairs in pool.map(_run_in_worker, range(n)):
-                impedance._remember_pairs(pairs)
-                results.append(result)
-            return results
+            return list(pool.map(_run_in_worker, range(n)))
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
 
@@ -201,24 +191,39 @@ def _parallel_map(task, n: int) -> list:
 def _grid(request: SweepRequest, read, model_sink=None) -> list[tuple]:
     """``(variables, read(pair))`` per point, spacing-major: each (spacing,
     size) of a spacing sweep, each spacing at the scenario's size for a
-    power sweep. A pair is built and read inside its point's annotation,
-    and only what ``read`` returns outlives the point. A spacing sweep runs
-    one worker task per spacing, its sizes in order, so the pair memo's
-    hits across sizes stay in one process; a power sweep keeps its pairs,
-    so it builds them, and calls ``model_sink``, in this process."""
+    power sweep. Every point's scenario is built, and so checked, in this
+    process before any point's models, so a point the config cannot hold
+    fails at once, named. A pair is built and read inside its point's
+    annotation, and only what ``read`` returns outlives the point. A
+    spacing sweep runs one worker task per spacing, its sizes in order, so
+    the pair memo's hits across sizes stay in one process; a power sweep
+    keeps its pairs, so it builds them, and calls ``model_sink``, in this
+    process."""
     power = request.kind in ("lb_vs_power", "mc_rmse")
     sizes = [(request.scenario.ris.n1, request.scenario.ris.n2)] if power else request.sizes
+
+    def where(d, n1, n2):
+        return f"spacing {d} lambda" if power else f"spacing {d} lambda, size {n1}x{n2}"
+
+    def scenario_at(d, n1, n2):
+        try:
+            return request.scenario.with_overrides(
+                ris_spacing_over_lambda=float(d), ris_n1=int(n1), ris_n2=int(n2))
+        except ConfigError as exc:
+            raise annotate(exc, where(d, n1, n2))
+
+    scenarios = [[scenario_at(d, n1, n2) for n1, n2 in sizes]
+                 for d in request.spacing_grid]
 
     def points_at(i):
         d = request.spacing_grid[i]
         out = []
-        for n1, n2 in sizes:
+        for (n1, n2), sc in zip(sizes, scenarios[i]):
             try:
                 out.append(({"d_over_lambda": d, "n1": n1, "n2": n2},
-                            read(_point_pair(request, d, n1, n2, model_sink))))
+                            read(_point_pair(request, sc, d, n1, n2, model_sink))))
             except ComputationError as exc:
-                where = f"spacing {d} lambda" if power else f"spacing {d} lambda, size {n1}x{n2}"
-                raise annotate(exc, where)
+                raise annotate(exc, where(d, n1, n2))
         return out
 
     n = len(request.spacing_grid)

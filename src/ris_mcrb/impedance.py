@@ -50,10 +50,7 @@ evaluation, memoized per process within a fixed bound on the exact
 geometry (wavenumber, eta0, half lengths, offsets): a geometry seen
 before, in this call or an earlier one, reuses its quadrature bit for
 bit. ``impedance_matrix`` looks up each distinct element offset once.
-The memo is a plain dict that drops its oldest entries first, so a
-sweep that integrates in worker processes can merge their new entries
-back into the caller's memo. Failures are never memoized; they raise each
-time.
+Failures are never memoized; they raise each time.
 """
 
 from __future__ import annotations
@@ -85,10 +82,6 @@ RESONANCE_TOL = 1e-9
 BASE_ORDER = 16
 REL_TOLERANCE = 1e-9
 MAX_REFINEMENTS = 6
-
-# Distinct pair geometries the memo keeps; the default spacing sweeps
-# need 2405.
-_PAIR_MEMO_SIZE = 4096
 
 
 @lru_cache(maxsize=32)
@@ -277,33 +270,17 @@ def _pair_offsets(p: Radiator, q: Radiator):
     return rho1, rho2
 
 
-# pair geometry (k0, eta0, hp, hq, rho1, rho2) -> _pair_impedance's result,
-# in insertion order; a sweep's worker processes send back what they add
-_PAIR_MEMO: dict = {}
-
-
-def _remember_pairs(entries) -> None:
-    """Add ``(geometry, result)`` entries to the pair memo, dropping the
-    oldest entries beyond ``_PAIR_MEMO_SIZE``."""
-    for key, value in entries:
-        _PAIR_MEMO[key] = value
-    while len(_PAIR_MEMO) > _PAIR_MEMO_SIZE:
-        del _PAIR_MEMO[next(iter(_PAIR_MEMO))]
-
-
+# the pair memo keeps the 4096 most recently used geometries; the default
+# spacing sweeps need 2405
+@lru_cache(maxsize=4096)
 def _pair_impedance(k0, eta0, hp, hq, rho1, rho2):
     """(impedance in ohm, absolute error estimate, final order) of one pair
     geometry."""
-    key = (k0, eta0, hp, hq, rho1, rho2)
-    hit = _PAIR_MEMO.get(key)
-    if hit is not None:
-        return hit
     value, err, order = _integrate(k0, hp, hq, rho1, rho2)
     value = value * (1j * eta0 / (4.0 * math.pi * k0))
     err = err * (eta0 / (4.0 * math.pi * k0))
     if not np.isfinite(value):
         raise ComputationError(f"impedance evaluated to a non-finite value {complex(value)}")
-    _remember_pairs([(key, (value, err, order))])
     return value, err, order
 
 

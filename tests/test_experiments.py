@@ -531,7 +531,7 @@ class TestOnePairPerPoint:
             assert rows == clean
         with pytest.raises(DegenerateDesignError, match="rank deficient"):
             bounds.inverse_gram_trace(experiments._build_point(
-                small_scenario, 0.5, 2, 2)[unread])
+                small_scenario.with_overrides(ris_spacing_over_lambda=0.5))[unread])
 
     @pytest.mark.parametrize("runner,unread,where", [
         (run_bias_vs_spacing, 1, r"spacing 0\.05 lambda, size 2x2: estimation model"),
@@ -760,7 +760,7 @@ class TestCli:
             for _, set_ in blas_runtimes:
                 set_(threads)
             # recompute every impedance under this thread count
-            impedance._PAIR_MEMO.clear()
+            impedance._pair_impedance.cache_clear()
             out = tmp_path / f"threads{threads}.csv"
             assert main(argv + ["--out", str(out)]) == 0
             outputs.append(out.read_bytes())
@@ -792,7 +792,7 @@ class TestCli:
         monkeypatch.setattr(experiments, spied, spy)
         for _, set_ in blas_runtimes:
             set_(2)
-        impedance._PAIR_MEMO.clear()
+        impedance._pair_impedance.cache_clear()
         cfg = self.write_config(tmp_path)
         assert main(argv + ["--config", cfg, "--out", os.devnull]) == 0
         assert seen == [[1] * len(blas_runtimes)]
@@ -813,17 +813,32 @@ class TestCli:
         assert [get() for get, _ in blas_runtimes] == [3] * len(blas_runtimes)
         capsys.readouterr()
 
-    @pytest.mark.parametrize("argv", [
-        ["bias-vs-spacing", "--sizes", "4x4,0x4", "--spacings-over-lambda", "0.5"],
-        ["crlb-vs-spacing", "--sizes", "2x2,2x0", "--spacings-over-lambda", "0.5"],
-        ["mc-rmse", "--trials", "4294967296", "--spacings-over-lambda", "0.5"],
-        ["mc-rmse", "--noiseless", "--trials", "4294967296",
-         "--spacings-over-lambda", "0.5"],
-        ["lb-vs-power", "--trials", "4294967296", "--spacings-over-lambda", "0.5"],
+    # Tx inside the 2x2 grid's box at 2.5 lambda spacing, outside it at 0.5
+    TX_NEAR = CONFIG + "tx_position_m: [0.005, 0.005, 0.0]\n"
+
+    @pytest.mark.parametrize("argv,config,where", [
+        (["bias-vs-spacing", "--sizes", "4x4,0x4", "--spacings-over-lambda", "0.5"],
+         None, None),
+        (["crlb-vs-spacing", "--sizes", "2x2,2x0", "--spacings-over-lambda", "0.5"],
+         None, None),
+        (["mc-rmse", "--trials", "4294967296", "--spacings-over-lambda", "0.5"],
+         None, None),
+        (["mc-rmse", "--noiseless", "--trials", "4294967296",
+          "--spacings-over-lambda", "0.5"], None, None),
+        (["lb-vs-power", "--trials", "4294967296", "--spacings-over-lambda", "0.5"],
+         None, None),
+        # 20 elements need more than the config's 16 pilots
+        (["bias-vs-spacing", "--sizes", "2x2,5x4"], None,
+         "spacing 0.002 lambda, size 5x4: num_transmissions"),
+        (["bias-vs-spacing", "--sizes", "2x2", "--spacings-over-lambda", "0.5,2.5"],
+         TX_NEAR, "spacing 2.5 lambda, size 2x2: tx_position_m"),
+        (["lb-vs-power", "--spacings-over-lambda", "0.5,2.5"], TX_NEAR,
+         "spacing 2.5 lambda: tx_position_m"),
     ], ids=["empty-size", "crlb-empty-size", "mc-trials", "noiseless-trials",
-            "lb-trials"])
+            "lb-trials", "pilots-at-a-size", "tx-inside-at-a-spacing",
+            "power-tx-inside-at-a-spacing"])
     def test_bad_request_exits_before_any_point(self, tmp_path, capsys, monkeypatch,
-                                                argv):
+                                                argv, config, where):
         # inline, so a point built by a spacing sweep would be seen here;
         # a built point fails the test at once rather than running its trials
         inline_sweeps(monkeypatch)
@@ -834,10 +849,10 @@ class TestCli:
             raise AssertionError("a grid point was built")
 
         monkeypatch.setattr(experiments, "_build_point", refuse)
-        cfg = self.write_config(tmp_path)
+        cfg = self.write_config(tmp_path, config)
         assert main(argv + ["--config", cfg, "--out", os.devnull]) == 2
         assert built == []
-        assert "config error" in capsys.readouterr().err
+        assert f"config error: {where or ''}" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         # half-wavelength dipoles put the current normalization at resonance
@@ -847,7 +862,7 @@ class TestCli:
         assert "numerical failure" in capsys.readouterr().err
         # side-by-side wires 1e-4 lambda apart exhaust the quadrature rule;
         # fewer refinements reach the same failure sooner
-        impedance._PAIR_MEMO.clear()
+        impedance._pair_impedance.cache_clear()
         monkeypatch.setattr(impedance, "MAX_REFINEMENTS", 3)
         assert main(["impedance-sweep", "--distances-over-lambda", "1e-4"]) == 3
         err = capsys.readouterr().err
@@ -1055,7 +1070,7 @@ class TestParallelSweeps:
             inline_sweeps(monkeypatch)
             inline = runner(request).rows
             pooled_sweeps(monkeypatch)
-            impedance._PAIR_MEMO.clear()
+            impedance._pair_impedance.cache_clear()
             pooled = runner(request).rows
             assert pooled == inline, request
             assert pooled
@@ -1098,10 +1113,10 @@ class TestParallelSweeps:
         spoiled_builder(monkeypatch, 1)
         spoiled = experiments._build_point
 
-        def slow_first(scenario, d, n1, n2):
-            if d == 0.05:
+        def slow_first(sc):
+            if sc.config["ris_spacing_over_lambda"] == 0.05:
                 time.sleep(0.2)
-            return spoiled(scenario, d, n1, n2)
+            return spoiled(sc)
 
         monkeypatch.setattr(experiments, "_build_point", slow_first)
         pooled_sweeps(monkeypatch)
@@ -1128,9 +1143,9 @@ class TestParallelSweeps:
         spacing = {}
         build, contraction = experiments._build_point, channel._contraction
 
-        def build_point(scenario, d, n1, n2):
-            spacing["d"] = d
-            return build(scenario, d, n1, n2)
+        def build_point(sc):
+            spacing["d"] = sc.config["ris_spacing_over_lambda"]
+            return build(sc)
 
         def chunk(mag, coupling):
             if threading.current_thread() is not threading.main_thread():
@@ -1147,7 +1162,7 @@ class TestParallelSweeps:
         monkeypatch.setattr(experiments, "_build_point", build_point)
         monkeypatch.setattr(channel, "_contraction", chunk)
         pooled_sweeps(monkeypatch)
-        impedance._PAIR_MEMO.clear()
+        impedance._pair_impedance.cache_clear()
         assert run_bias_vs_spacing(request).rows == inline
         assert helper_chunks.value > 0
         assert multiprocessing.active_children() == []
@@ -1159,28 +1174,6 @@ class TestParallelSweeps:
         for runner, request in self.requests(small_scenario):
             runner(request)
             assert multiprocessing.active_children() == []
-
-    def test_pooled_sweep_fills_the_callers_memo(self, small_scenario, monkeypatch):
-        request = SweepRequest(kind="bias_vs_spacing", scenario=small_scenario,
-                               spacing_grid=[0.05, 0.2, 0.5], sizes=[(2, 2), (3, 2)])
-
-        def memo_after(spread):
-            spread(monkeypatch)
-            impedance._PAIR_MEMO.clear()
-            run_bias_vs_spacing(request)
-            return {key: (np.array(entry[:2], dtype=complex).tobytes(), entry[2])
-                    for key, entry in impedance._PAIR_MEMO.items()}
-
-        inline = memo_after(inline_sweeps)
-        assert inline
-        assert memo_after(pooled_sweeps) == inline
-
-    def test_memo_drops_oldest_entries_beyond_its_bound(self, monkeypatch):
-        monkeypatch.setattr(impedance, "_PAIR_MEMO_SIZE", 2)
-        monkeypatch.setattr(impedance, "_PAIR_MEMO", {})
-        impedance._remember_pairs([("a", 1), ("b", 2), ("c", 3)])
-        impedance._remember_pairs([("b", 4)])
-        assert impedance._PAIR_MEMO == {"b": 4, "c": 3}
 
     @pytest.mark.parametrize("argv,code", [
         (["bias-vs-spacing", "--spacings-over-lambda", "0.2,0.5", "--sizes", "2x2"], 0),
@@ -1205,7 +1198,7 @@ class TestParallelSweeps:
         # rule in a worker; the failure reaches the CLI's exit code 3
         pooled_sweeps(monkeypatch)
         monkeypatch.setattr(impedance, "MAX_REFINEMENTS", 3)
-        impedance._PAIR_MEMO.clear()
+        impedance._pair_impedance.cache_clear()
         assert main(["bias-vs-spacing", "--spacings-over-lambda", "1e-4,0.5",
                      "--sizes", "2x2", "--out", os.devnull]) == 3
         err = capsys.readouterr().err
@@ -1231,7 +1224,7 @@ class TestParallelSweeps:
         # 3 differs from the single-threaded pin and from a 2-core default
         for _, set_ in blas_runtimes:
             set_(3)
-        impedance._PAIR_MEMO.clear()
+        impedance._pair_impedance.cache_clear()
         request = SweepRequest(kind="bias_vs_spacing",
                                scenario=scenario_from_config({}),
                                spacing_grid=[0.02, 0.5], sizes=[(4, 4)])

@@ -69,23 +69,26 @@ def element(x=0.0, y=0.0, z=0.0, h=H, r=R):
     return Radiator(np.array([x, y, z]), h, r)
 
 
-def closed_form_impedance(rho):
-    """Side-by-side impedance (ohm) of two of the test dipoles at distance rho.
+def closed_form_impedance(rho, dz=0.0):
+    """Impedance (ohm) of two of the test dipoles, parallel at radial
+    distance rho with their centres dz apart along the axis.
 
     Schelkunoff's closed-form near field of a sinusoidal filament
     (Balanis, Antenna Theory, ch. 8; Carter 1932),
     E_z = -j eta/(4 pi) [e^{-jkR1}/R1 + e^{-jkR2}/R2 - 2 cos(kh) e^{-jkR0}/R0],
-    integrated once against the other dipole's current sin(k(h - |z|)) by
-    scipy's adaptive quadrature and referred to the terminal currents. It
-    shares no code with the engine.
+    observed at axial position dz + t on the other dipole, integrated
+    once against that dipole's current sin(k(h - |t|)) by scipy's adaptive
+    quadrature and referred to the terminal currents. It shares no code
+    with the engine.
     """
     k, eta, h = C28.wavenumber, C28.eta0, H
 
-    def e_z(z):
+    def e_z(t):
+        z = dz + t
         r0, r1, r2 = math.hypot(rho, z), math.hypot(rho, z - h), math.hypot(rho, z + h)
         field = (np.exp(-1j * k * r1) / r1 + np.exp(-1j * k * r2) / r2
                  - 2.0 * math.cos(k * h) * np.exp(-1j * k * r0) / r0)
-        return -1j * eta / (4.0 * math.pi) * field * math.sin(k * (h - abs(z)))
+        return -1j * eta / (4.0 * math.pi) * field * math.sin(k * (h - abs(t)))
 
     def over_wire(f):
         # split at the current profile's kink
@@ -131,6 +134,19 @@ class TestMutualImpedance:
             want = closed_form_impedance(rho)
             assert abs(mutual_impedance(e, other, C28) - want) <= 1e-12 * abs(want)
 
+    @pytest.mark.parametrize("rho,dz", [
+        (0.0, 0.035), (0.0, 0.04), (0.0, 0.05), (0.0, 0.1),
+        (0.02, 0.04), (0.04, 0.04), (0.05, 0.05), (0.1, 0.1),
+    ], ids=["collinear-0.035", "collinear-0.04", "collinear-0.05", "collinear-0.1",
+            "echelon-0.02-0.04", "echelon-0.04-0.04", "echelon-0.05-0.05",
+            "echelon-0.1-0.1"])
+    def test_closed_form_staggered_oracle(self, rho, dz):
+        # offsets in lambda; collinear end gaps go down to 0.0035 lambda
+        e, other = element(), element(x=rho * LAM, z=dz * LAM)
+        want = closed_form_impedance(rho * LAM, dz * LAM)
+        for p, q in ((e, other), (other, e)):
+            assert abs(mutual_impedance(p, q, C28) - want) <= 1e-12 * abs(want)
+
     @pytest.mark.parametrize("antenna", sorted(FAR_FIELD))
     def test_stored_far_field_oracle(self, antenna):
         position, want = FAR_FIELD[antenna]
@@ -156,7 +172,7 @@ class TestMutualImpedance:
 
     def test_convergence_error_carries_estimates(self, monkeypatch):
         # 0.002 lambda converges at the third refinement; stop after two
-        impedance._PAIR_MEMO.clear()
+        impedance._pair_impedance.cache_clear()
         monkeypatch.setattr(impedance, "MAX_REFINEMENTS", 2)
         with pytest.raises(QuadratureConvergenceError) as exc_info:
             mutual_impedance(element(), element(x=0.002 * LAM), C28)
@@ -373,7 +389,7 @@ class TestImpedanceMatrix:
                          z=-0.0 if (k + c) % 2 else 0.0, h=H if k % 3 else 0.75 * H)
                  for c in range(2) for k, (x, y) in enumerate(block)]
         z_self, z_mut = impedance_matrix(elems, C28)
-        impedance._PAIR_MEMO.clear()
+        impedance._pair_impedance.cache_clear()
         for i, p in enumerate(elems):
             assert z_self[i] == mutual_impedance(p, p, C28)
             for j in range(i + 1, len(elems)):
@@ -419,7 +435,7 @@ class TestImpedanceMatrix:
     def test_annotation_keeps_convergence_estimates(self, monkeypatch):
         # the self term, at one wire radius (lambda/500), converges at the
         # third refinement; stop after two
-        impedance._PAIR_MEMO.clear()
+        impedance._pair_impedance.cache_clear()
         monkeypatch.setattr(impedance, "MAX_REFINEMENTS", 2)
         with pytest.raises(QuadratureConvergenceError,
                            match=r"^element 0 self term: ") as exc_info:
@@ -524,7 +540,7 @@ def integrations(monkeypatch):
         calls.append(args)
         return integrate(*args)
 
-    impedance._PAIR_MEMO.clear()
+    impedance._pair_impedance.cache_clear()
     monkeypatch.setattr(impedance, "_integrate", counting)
     return calls
 
@@ -551,7 +567,7 @@ class TestPairMemo:
         # element (i, j) and its mirror image (3 - i, j) share one geometry
         assert len(integrations) == 8
         for n, elem in enumerate(elems):
-            impedance._PAIR_MEMO.clear()
+            impedance._pair_impedance.cache_clear()
             assert vec[n] == mutual_impedance(elem, antenna, C28)
 
     def test_sweep_csv_independent_of_memo_state(self, integrations, monkeypatch):
@@ -568,12 +584,36 @@ class TestPairMemo:
         cold = bias_csv([0.1, 0.5], [(2, 2)])
         cold_count = len(integrations)
         assert cold_count > 0
-        impedance._PAIR_MEMO.clear()
+        impedance._pair_impedance.cache_clear()
         # a different sweep that shares the 0.1 lambda pair geometries
         bias_csv([0.05, 0.1], [(2, 2), (3, 3)])
         warmed_at = len(integrations)
         assert bias_csv([0.1, 0.5], [(2, 2)]) == cold
         assert len(integrations) - warmed_at < cold_count
+
+    def test_memo_keeps_its_bound(self, monkeypatch):
+        # a counting fake quadrature, on a wavenumber no scenario uses
+        calls = []
+
+        def fake(k0, hp, hq, rho1, rho2):
+            calls.append(rho1)
+            return complex(rho1), 0.0, 32
+
+        monkeypatch.setattr(impedance, "_integrate", fake)
+        memo = impedance._pair_impedance
+        size = memo.cache_info().maxsize
+        try:
+            for i in range(1, size + 2):
+                memo(-1.0, 1.0, 1.0, 1.0, float(i), 0.0)
+            assert memo.cache_info().currsize == size
+            assert len(calls) == size + 1
+            memo(-1.0, 1.0, 1.0, 1.0, float(size + 1), 0.0)
+            assert len(calls) == size + 1
+            # the least recently used geometry was dropped
+            memo(-1.0, 1.0, 1.0, 1.0, 1.0, 0.0)
+            assert calls[-1] == 1.0 and len(calls) == size + 2
+        finally:
+            memo.cache_clear()
 
     def test_failures_raise_on_every_call(self, integrations):
         elems = [element(h=LAM / 2.0), element(x=0.5 * LAM, h=LAM / 2.0)]
