@@ -48,9 +48,8 @@ class _LsqFactor:
     """Economy QR of a complex model matrix with a condition guard.
 
     A solve is one matrix product and one LAPACK ``trtrs`` call: the call
-    ``scipy.linalg.solve_triangular`` makes for the memory layout of R
-    (``qr`` returns it C-ordered, which is solved as the lower system
-    R^T), without that wrapper's per-call checks.
+    ``scipy.linalg.solve_triangular`` makes for a C-ordered R, without that
+    wrapper's per-call checks.
     """
 
     def __init__(self, d, context="model matrix"):
@@ -64,16 +63,12 @@ class _LsqFactor:
                 rcond=float(rcond),
             )
         self.rcond = float(rcond)
-        # trtrs expects Fortran order; a C-ordered R is passed transposed
-        if self.r.flags.f_contiguous:
-            self._triangle = (self.r, False, 0)
-        else:
-            self._triangle = (self.r.T, True, 1)
 
     def _solve_r(self, b):
-        """Solve R @ x = b, for a vector or a matrix b."""
-        a, lower, trans = self._triangle
-        x, info = trtrs(a, b, lower=lower, trans=trans)
+        """Solve R @ x = b, for a vector or a matrix b. ``qr`` returns R
+        C-ordered, so its Fortran-ordered view is R^T: the lower system
+        solved transposed."""
+        x, info = trtrs(self.r.T, b, lower=True, trans=1)
         if info != 0:
             raise DegenerateDesignError(
                 f"triangular solve failed (LAPACK trtrs info {info})")

@@ -203,30 +203,21 @@ class RisLoadSequence:
         arr.flags.writeable = False
         object.__setattr__(self, "loads", arr)
 
-    @property
-    def num_transmissions(self) -> int:
-        return self.loads.shape[0]
 
-    @property
-    def num_elements(self) -> int:
-        return self.loads.shape[1]
-
-
-def sample_loads(scenario: Scenario, rng: np.random.Generator | None = None) -> RisLoadSequence:
+def sample_loads(scenario: Scenario) -> RisLoadSequence:
     """Draw the G x N tunable loads, i.i.d. uniform in the scenario's
     resistance and inductance boxes.
 
-    By default the draws come from the dedicated load substream of the
-    scenario seed, so the sampled configurations do not depend on how much
-    noise is drawn elsewhere. Resistance values are drawn first, then
+    The draws come from the dedicated load substream of the scenario seed,
+    and only from it, so the sampled configurations do not depend on how
+    much noise is drawn elsewhere. Resistance values are drawn first, then
     inductances, both row-major over (transmission, element).
     """
     r_min, r_max = scenario.load_resistance_range
     l_min, l_max = scenario.load_inductance_range
     if r_max < r_min or l_max < l_min:
         raise ValueError("load ranges must satisfy min <= max")
-    if rng is None:
-        rng = substream(scenario.rng_seed, LOADS_STREAM)
+    rng = substream(scenario.rng_seed, LOADS_STREAM)
     shape = (scenario.num_transmissions, scenario.ris.num_elements)
     resistance = rng.uniform(r_min, r_max, shape)
     inductance = rng.uniform(l_min, l_max, shape)

@@ -4,6 +4,10 @@ Two families: configuration problems (bad config text, violated scenario
 constraints) and computation failures (geometry that breaks the integrand,
 quadrature that will not settle, singular or near-singular linear systems).
 The CLI maps ConfigError to exit code 2 and ComputationError to exit code 3.
+
+Every argument after the message has a default, so Python's own exception
+pickling (type, args, ``__dict__``) carries a failure raised in a worker
+process to the caller with its type, annotated message and payload.
 """
 
 
@@ -16,14 +20,7 @@ class ConfigError(RisMcrbError):
 
 
 class ComputationError(RisMcrbError):
-    """A numerical operation could not produce a trustworthy result.
-
-    Pickling keeps the type, the (possibly annotated) message and the
-    payload attributes without calling ``__init__``, so a failure raised in
-    a worker process reaches the caller unchanged."""
-
-    def __reduce__(self):
-        return _rebuild, (type(self), self.args), self.__dict__
+    """A numerical operation could not produce a trustworthy result."""
 
 
 class DegenerateGeometryError(ComputationError):
@@ -38,7 +35,7 @@ class ResonanceError(ComputationError):
 class QuadratureConvergenceError(ComputationError):
     """Refinement hit its cap before successive estimates agreed."""
 
-    def __init__(self, message, previous, latest):
+    def __init__(self, message, previous=None, latest=None):
         super().__init__(message)
         self.previous = previous
         self.latest = latest
@@ -60,12 +57,6 @@ class DegenerateDesignError(ComputationError):
     def __init__(self, message, rcond=None):
         super().__init__(message)
         self.rcond = rcond
-
-
-def _rebuild(cls, args):
-    exc = cls.__new__(cls)
-    exc.args = args
-    return exc
 
 
 def annotate(exc: RisMcrbError, label: str) -> RisMcrbError:

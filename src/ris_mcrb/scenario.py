@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
 from .errors import ConfigError
 
@@ -317,8 +316,8 @@ def scenario_from_config(mapping: dict | None) -> Scenario:
     tx = Radiator(np.asarray(cfg["tx_position_m"]), h, r)
     rx = Radiator(np.asarray(cfg["rx_position_m"]), h, r)
     for key, antenna in (("tx_position_m", tx), ("rx_position_m", rx)):
-        if _inside_grid_box(antenna.position, grid, h):
-            raise ConfigError(f"{key}: position lies inside the RIS grid box")
+        if _inside_grid_box(antenna.position, grid, h, r):
+            raise ConfigError(f"{key}: antenna wire reaches the RIS grid box")
 
     r_min, r_max = cfg["load_r_min_ohm"], cfg["load_r_max_ohm"]
     l_min, l_max = cfg["load_l_min_nh"], cfg["load_l_max_nh"]
@@ -354,11 +353,14 @@ def scenario_from_config(mapping: dict | None) -> Scenario:
     )
 
 
-def _inside_grid_box(point, grid: RisGrid, half_length: float) -> bool:
-    # Elements extend +-half_length along z; the box is the hull of the wires.
-    lo = grid.element_positions.min(axis=0) - np.array([0.0, 0.0, half_length])
-    hi = grid.element_positions.max(axis=0) + np.array([0.0, 0.0, half_length])
-    return bool(np.all(point >= lo) and np.all(point <= hi))
+def _inside_grid_box(centre, grid: RisGrid, half_length: float, radius: float) -> bool:
+    # The element wires' hull spans +-radius across and +-half_length along
+    # z; an antenna wire of the same size can touch an element only if its
+    # centre lies inside that hull padded by the antenna's own extents.
+    pad = np.array([2.0 * radius, 2.0 * radius, 2.0 * half_length])
+    lo = grid.element_positions.min(axis=0) - pad
+    hi = grid.element_positions.max(axis=0) + pad
+    return bool(np.all(centre >= lo) and np.all(centre <= hi))
 
 
 def load_scenario(config_text: str) -> Scenario:
@@ -368,6 +370,8 @@ def load_scenario(config_text: str) -> Scenario:
     ConfigError with the offending line; constraint violations raise
     ConfigError naming the field.
     """
+    import yaml  # deferred: only a config file is parsed or written as YAML
+
     try:
         mapping = yaml.safe_load(config_text)
     except yaml.YAMLError as exc:
@@ -388,6 +392,8 @@ def load_scenario_file(path) -> Scenario:
 
 def dump_scenario(scenario: Scenario) -> str:
     """Serialize the fully-defaulted config of a scenario as YAML text."""
+    import yaml
+
     return yaml.safe_dump(scenario.config, sort_keys=True)
 
 

@@ -43,7 +43,7 @@ def test_cli_start_leaves_scipy_linalg_unimported():
         import json, sys
         import ris_mcrb, ris_mcrb.cli
         ris_mcrb.default_scenario()
-        heavy = ("scipy.linalg", "numpy.ma", "numpy.f2py", "numpy.testing")
+        heavy = ("scipy.linalg", "numpy.ma", "numpy.f2py", "numpy.testing", "yaml")
         print(json.dumps([name for name in heavy if name in sys.modules]))
     """)
     assert loaded == []

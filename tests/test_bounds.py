@@ -286,6 +286,27 @@ class TestLsqFactor:
                                     check_finite=False)
             assert np.array_equal(factor.solve(rhs), want)
 
+    def test_one_column_model_matches_hand_solution(self):
+        # N = 1: R is 1x1, the one shape that is also Fortran-ordered;
+        # both estimates are a projection onto one column b
+        rng = np.random.default_rng(31)
+        b_est, b_true, r = crandn(rng, (6, 1)), crandn(rng, (6, 1)), crandn(rng, 6)
+        z = crandn(rng, 1)
+        col, p_t = b_est[:, 0], 4.0
+        gram = np.vdot(col, col).real
+        want_x0 = np.vdot(col, b_true[:, 0]) * z / gram
+        want_ml = np.array([np.vdot(col, r) / (gram * math.sqrt(p_t))])
+        tight = dict(rel=1e-13, abs=0.0)
+        assert pseudo_true(b_est, b_true, z) == pytest.approx(want_x0, **tight)
+        assert ml_estimate(b_est, r, p_t) == pytest.approx(want_ml, **tight)
+        # the same through the real block forms
+        d_est = realify(b_est, includes_mutual_coupling=False)
+        d_true = realify(b_true, includes_mutual_coupling=True)
+        assert pseudo_true(d_est, d_true, realify_vec(z)) == pytest.approx(
+            realify_vec(want_x0), **tight)
+        assert ml_estimate(d_est, realify_vec(r), p_t) == pytest.approx(
+            realify_vec(want_ml), **tight)
+
 
 @pytest.fixture(scope="module")
 def scenario():

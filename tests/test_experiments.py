@@ -37,7 +37,7 @@ from ris_mcrb.experiments import (
     run_mc_rmse,
 )
 from ris_mcrb.impedance import build_impedance_set
-from ris_mcrb.scenario import dbm_to_watts, scenario_from_config
+from ris_mcrb.scenario import dbm_to_watts, derive_constants, scenario_from_config
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +270,28 @@ class TestSpacingSweeps:
         gamma = dbm_to_watts(40.0) / sc.noise.sigma2
         assert report.gamma == gamma
         assert report.crlb == crlb(d_true, gamma)
+
+    def test_one_element_has_no_bias(self, monkeypatch, capsys):
+        # one element has no mutual coupling: both models are one column
+        inline_sweeps(monkeypatch)
+        assert main(["bias-vs-spacing", "--sizes", "1x1",
+                     "--spacings-over-lambda", "0.002,0.5"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [row["sqrt_tr_bias"] for row in rows] == ["0.0", "0.0"]
+
+    def test_one_element_crlb_is_the_closed_form(self, monkeypatch, capsys):
+        # Tr((D^T D)^{-1}) = 2 / ||b||^2 for one column b
+        inline_sweeps(monkeypatch)
+        assert main(["crlb-vs-spacing", "--sizes", "1x1",
+                     "--spacings-over-lambda", "0.5", "--power-dbm", "40"]) == 0
+        (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        sc = scenario_from_config({"ris_n1": 1, "ris_n2": 1,
+                                   "ris_spacing_over_lambda": 0.5})
+        imp = build_impedance_set(sc.tx, sc.rx, sc.ris_radiators(), sc.constants)
+        b_true, _, _ = model_pair(imp, sample_loads(sc))
+        gamma = dbm_to_watts(40.0) / sc.noise.sigma2
+        want = 1.0 / (np.linalg.norm(b_true) * np.sqrt(gamma))
+        assert float(row["crlb"]) == pytest.approx(want, rel=1e-12)
 
     def test_crlb_needs_single_power(self, small_scenario):
         with pytest.raises(ValueError, match="one transmit power"):
@@ -815,6 +837,12 @@ class TestCli:
 
     # Tx inside the 2x2 grid's box at 2.5 lambda spacing, outside it at 0.5
     TX_NEAR = CONFIG + "tx_position_m: [0.005, 0.005, 0.0]\n"
+    # Tx 1.5 h above the corner element of the 2x2 grid at 2.5 lambda
+    # (x = y = 1.25 lambda): clear of the element hull, but its wire
+    # overlaps that element's wire
+    _LAM = derive_constants(28e9).wavelength
+    TX_ABOVE = CONFIG + "tx_position_m: [{0!r}, {0!r}, {1!r}]\n".format(
+        1.25 * _LAM, 1.5 * _LAM / 64.0)
 
     @pytest.mark.parametrize("argv,config,where", [
         (["bias-vs-spacing", "--sizes", "4x4,0x4", "--spacings-over-lambda", "0.5"],
@@ -834,9 +862,11 @@ class TestCli:
          TX_NEAR, "spacing 2.5 lambda, size 2x2: tx_position_m"),
         (["lb-vs-power", "--spacings-over-lambda", "0.5,2.5"], TX_NEAR,
          "spacing 2.5 lambda: tx_position_m"),
+        (["bias-vs-spacing", "--sizes", "2x2", "--spacings-over-lambda", "0.5,2.5"],
+         TX_ABOVE, "spacing 2.5 lambda, size 2x2: tx_position_m"),
     ], ids=["empty-size", "crlb-empty-size", "mc-trials", "noiseless-trials",
             "lb-trials", "pilots-at-a-size", "tx-inside-at-a-spacing",
-            "power-tx-inside-at-a-spacing"])
+            "power-tx-inside-at-a-spacing", "tx-wire-above-an-element"])
     def test_bad_request_exits_before_any_point(self, tmp_path, capsys, monkeypatch,
                                                 argv, config, where):
         # inline, so a point built by a spacing sweep would be seen here;
@@ -1083,11 +1113,14 @@ class TestParallelSweeps:
             lambda i: [get() for get, _ in blas_runtimes], 2)
         assert counts == [[1] * len(blas_runtimes)] * 2
 
-    def test_idle_workers_burn_no_cpu(self, monkeypatch):
+    def test_idle_workers_burn_no_cpu(self, monkeypatch, blas_runtimes):
         # a BLAS setter call after the fork restarts OpenBLAS's thread
         # server, whose thread spins: 0.1-0.25 s of CPU time over this
-        # sleep on a 2-vCPU host
+        # sleep on a 2-vCPU host. Start from two threads, so the pool's
+        # pin to one is a real change whatever count this process began with
         pooled_sweeps(monkeypatch)
+        for _, set_ in blas_runtimes:
+            set_(2)
 
         def sleeper(i):
             started = time.process_time()
@@ -1095,6 +1128,22 @@ class TestParallelSweeps:
             return time.process_time() - started
 
         assert max(experiments._parallel_map(sleeper, 2)) < 0.05
+
+    def test_without_fork_runs_inline(self, small_scenario, monkeypatch):
+        # a platform without fork runs every task in this process, with no
+        # CPU budget, so build_B starts no helper threads
+        request = SweepRequest(kind="bias_vs_spacing", scenario=small_scenario,
+                               spacing_grid=[0.05, 0.5], sizes=[(2, 2)])
+        inline_sweeps(monkeypatch)
+        inline = run_bias_vs_spacing(request).rows
+        pooled_sweeps(monkeypatch)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert channel.cpu_budget is None
+        impedance._pair_impedance.cache_clear()
+        assert run_bias_vs_spacing(request).rows == inline
+        seen = experiments._parallel_map(lambda i: (os.getpid(), channel.cpu_budget), 3)
+        assert seen == [(os.getpid(), None)] * 3
+        assert multiprocessing.active_children() == []
 
     def test_workers_count_in_the_budget(self, monkeypatch):
         # a unit per usable CPU, and a running task holds one of them

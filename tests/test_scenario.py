@@ -176,6 +176,29 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="tx_position_m"):
             load_scenario("tx_position_m: [0.0, 0.0, 0.0]\n")
 
+    @pytest.mark.parametrize("text,key", [
+        # 1.49 h above a lone element: the coaxial wires overlap
+        ("ris_n1: 1\nris_n2: 1\ntx_position_m: [0.0, 0.0, 0.00025]\n",
+         "tx_position_m"),
+        # centre 0.3 um outside the 2x2 hull at 0.5 lambda, wire 0.4 um
+        # from element 3's axis
+        ("ris_n1: 2\nris_n2: 2\ntx_position_m: [0.002677, 0.002677, 0.00025]\n",
+         "tx_position_m"),
+        ("ris_n1: 2\nris_n2: 2\nrx_position_m: [-0.002677, 0.002677, -0.00025]\n",
+         "rx_position_m"),
+    ], ids=["coaxial-1x1", "corner-2x2-tx", "corner-2x2-rx"])
+    def test_antenna_wire_reaching_an_element_rejected(self, text, key):
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            load_scenario(text)
+
+    def test_antenna_wire_clear_of_the_elements_accepted(self):
+        sc = load_scenario("ris_n1: 1\nris_n2: 1\n")
+        h, r = sc.element_half_length, sc.element_wire_radius
+        for position in ([0.0, 0.0, 2.01 * h], [2.01 * r, 0.0, 0.0]):
+            moved = scenario_from_config({"ris_n1": 1, "ris_n2": 1,
+                                          "tx_position_m": position})
+            assert np.array_equal(moved.tx.position, position)
+
     def test_bad_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
             load_scenario("seed: -3\n")
