@@ -168,10 +168,10 @@ class BoundReport:
     """Bound components at one operating point; fields a given sweep does
     not evaluate are None. ``lb`` is derived, never stored."""
 
-    p_t: float | None
-    gamma: float | None
-    tr_mcrb: float | None
-    tr_bias: float | None
+    p_t: float | None = None
+    gamma: float | None = None
+    tr_mcrb: float | None = None
+    tr_bias: float | None = None
     crlb: float | None = None
     rmse: float | None = None
 

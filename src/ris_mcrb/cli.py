@@ -130,9 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crlb-vs-spacing", parents=[common, spacing],
                        help="matched bound vs element spacing at fixed power")
-    p.add_argument("--power-dbm", type=float, default=DEFAULT_CRLB_POWER_DBM,
-                   metavar="P", help="transmit power in dBm "
-                                     f"(default: {DEFAULT_CRLB_POWER_DBM:g})")
+    p.add_argument("--power-dbm", dest="power_grid", type=float, nargs=1,
+                   default=[DEFAULT_CRLB_POWER_DBM], metavar="P",
+                   help=f"transmit power in dBm (default: {DEFAULT_CRLB_POWER_DBM:g})")
     p.set_defaults(kind="crlb_vs_spacing", runner=run_crlb_vs_spacing)
 
     p = sub.add_parser("mc-rmse", parents=[common, power],
@@ -155,15 +155,9 @@ _NUMBER_LIST = re.compile(r"^-[0-9.eE+,-]+$")
 
 def _fold_negative_lists(argv):
     out = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if (token in _LIST_FLAGS and i + 1 < len(argv)
-                and _NUMBER_LIST.match(argv[i + 1])):
-            out.append(f"{token}={argv[i + 1]}")
-            skip = True
+    for token in argv:
+        if out and out[-1] in _LIST_FLAGS and _NUMBER_LIST.match(token):
+            out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)
     return out
@@ -189,8 +183,6 @@ def _run(args):
         return run_impedance_sweep(scenario, args.distances_over_lambda)
     fields = {f.name: getattr(args, f.name)
               for f in dataclasses.fields(SweepRequest) if f.name in args}
-    if args.command == "crlb-vs-spacing":
-        fields["power_grid"] = [args.power_dbm]
     request = SweepRequest(scenario=scenario, **fields)
     if getattr(args, "dump_model", None):
         return args.runner(request, model_sink=_model_sink(args.dump_model))

@@ -1,36 +1,29 @@
-"""Seeded sweep runners for the three experiment families, plus CSV output.
+"""Seeded sweep runners for the paper's figures, plus CSV output.
 
-Each runner takes a SweepRequest and returns a SweepResult whose rows are
-ordered by the sweep grids. One grid loop (``_grid``) serves every kind: a
-point's models come from ``_build_point`` (``model_pair``'s complex
-``(d_true, d_est, x_true)`` at the default quadrature; the runners take no
-quadrature option) and live only in that point's lazy
-``bounds.FactoredPair``, from which all of the point's rows are read, so
-each trace is computed once and only if a column needs it. The RIS load
-sequence always comes from the dedicated load substream of the master
-seed, so every spacing and size sees the same draw order. Noise streams
-are keyed by the transmit-power value; each power's trials draw their
-noise once (``bounds.mc_rmse_pairs``) and every spacing at that power sees
-the same draws, so dropping a grid point never changes the remaining rows.
+``SWEEP_KINDS`` says what each sweep kind is: its grid (power x spacing at
+the scenario's RIS size, or spacing x size), the ``SweepRequest`` fields
+it reads, which are the only ones a request may set, and its CSV columns,
+which are also the only bound parts its rows compute (``_report``). Each
+runner checks that its request is of its own kind; its rows follow the
+grids' order.
 
-The runners run BLAS single-threaded, and both kinds of sweep spread
-their work over forked worker processes (``_parallel_map``) that inherit
-that single thread, so no worker calls a BLAS setter (``_blas``). A
-spacing sweep runs one task per spacing covering every size at it. The
-workers share a ``channel.CpuBudget`` of one unit per usable CPU, and
-each counts in it while it runs a task; a CPU that no task occupies, such
-as one whose worker has run out of tasks, runs ``build_B`` chunks of a
-running task on a helper thread, so the heaviest spacing does not finish
-on one thread alone. A chunk's rows are the same bits on any thread, so
-the rows are the same bits as the serial loop's, whichever path runs.
+One grid loop (``_grid``) serves every kind. A point's models come from
+``_build_point`` (``model_pair``'s complex ``(d_true, d_est, x_true)`` at
+the default quadrature) and live only in its lazy ``bounds.FactoredPair``,
+so each trace is computed once and only if a column needs it. The RIS
+loads come from the load substream of the master seed, so every spacing
+and size sees the same draws. Noise streams are keyed by the power value,
+and each power's trials draw once for all its spacings
+(``bounds.mc_rmse_pairs``), so dropping a grid point never changes the
+remaining rows.
 
-A power sweep builds and reads its pairs in the calling process, since
-every power reads all of its spacings' pairs, then runs one task per power
-of Monte-Carlo trials (``bounds.mc_rmse_pairs``, in blocks of
-``bounds.TRIAL_BLOCK``) on the workers, which inherit the pairs through
-the fork; its rows are assembled in grid order. Noiseless trials (one
-solve per pair) and ``trials == 0`` run inline. Each power's trials are
-computed as in the serial loop, so the rows are the same bits.
+The runners run BLAS single-threaded and spread their work over forked
+worker processes (``_parallel_map``). A spacing x size sweep runs one task
+per spacing, every size at it. A power sweep factors its pairs in the
+calling process, since every power reads all of them, then runs one task
+per power of Monte-Carlo trials on workers that inherit the pairs through
+the fork; noiseless trials and ``trials == 0`` run inline. Every path
+gives the serial loop's bits.
 """
 
 from __future__ import annotations
@@ -41,7 +34,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -53,7 +46,30 @@ from .errors import ComputationError, ConfigError, annotate
 from .impedance import build_impedance_set, mutual_impedance
 from .scenario import Radiator, Scenario, dbm_to_watts
 
-SWEEP_KINDS = ("lb_vs_power", "bias_vs_spacing", "crlb_vs_spacing", "mc_rmse")
+
+@dataclass(frozen=True)
+class _Kind:
+    power_rows: bool          # power x spacing at the scenario's size, else spacing x size
+    reads: tuple[str, ...]    # the SweepRequest fields it reads
+    columns: tuple[str, ...]  # its CSV columns
+
+
+# What each sweep kind is. A spacing x size sweep runs at its one power, if
+# it reads one; a kind that prints rmse needs trials, and any sweep that
+# runs trials prints rmse.
+_POWER_COLUMNS = ("p_t_dbm", "d_over_lambda", "tr_mcrb", "tr_bias", "lb", "crlb")
+SWEEP_KINDS = {
+    "lb_vs_power": _Kind(True, ("power_grid", "spacing_grid", "trials", "matched"),
+                         _POWER_COLUMNS),
+    "mc_rmse": _Kind(True, ("power_grid", "spacing_grid", "trials", "matched", "noiseless"),
+                     _POWER_COLUMNS + ("rmse",)),
+    "bias_vs_spacing": _Kind(False, ("spacing_grid", "sizes"),
+                             ("d_over_lambda", "n1", "n2", "sqrt_tr_bias")),
+    "crlb_vs_spacing": _Kind(False, ("power_grid", "spacing_grid", "sizes"),
+                             ("d_over_lambda", "n1", "n2", "crlb")),
+}
+_CSV_COLUMNS = {"impedance_sweep": ("d_over_lambda", "re_z_ohm", "im_z_ohm", "abs_z_ohm"),
+                **{name: entry.columns for name, entry in SWEEP_KINDS.items()}}
 
 # Default grids for the standard experiment setups.
 DEFAULT_POWER_GRID_DBM = [float(p) for p in range(-10, 81, 10)]
@@ -66,9 +82,10 @@ DEFAULT_CRLB_POWER_DBM = 40.0
 @dataclass(frozen=True)
 class SweepRequest:
     """One experiment family instance, checked whole before any point is
-    built: grids must be finite and strictly increasing, sizes at least 1x1
-    and distinct, trials fewer than ``channel.TRIAL_LIMIT``, and a
-    ``crlb_vs_spacing`` sweep has exactly one power."""
+    built: it sets only the fields its kind reads, each read grid is
+    non-empty, grids are finite and strictly increasing, no two powers
+    share a noise stream, sizes are at least 1x1 and distinct, and trials
+    are fewer than ``channel.TRIAL_LIMIT``."""
 
     kind: str
     scenario: Scenario
@@ -80,30 +97,33 @@ class SweepRequest:
     noiseless: bool = False
 
     def __post_init__(self):
-        if self.kind not in SWEEP_KINDS:
+        kind = SWEEP_KINDS.get(self.kind)
+        if kind is None:
             raise ValueError(f"unknown sweep kind {self.kind!r}")
+        for f in fields(self)[2:]:  # those after kind and scenario default to falsy values
+            if f.name not in kind.reads and getattr(self, f.name):
+                raise ValueError(f"{self.kind} sweeps do not read {f.name}")
+        for name in ("power_grid", "spacing_grid", "sizes"):
+            if name in kind.reads and not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         for name, grid in (("power_grid", self.power_grid),
                            ("spacing_grid", self.spacing_grid)):
             if not all(math.isfinite(v) for v in grid):
                 raise ValueError(f"{name} values must be finite")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError(f"{name} must be strictly increasing")
-        if self.kind in ("lb_vs_power", "mc_rmse"):
-            if not self.power_grid:
-                raise ValueError("power_grid must not be empty")
-        if not self.spacing_grid:
-            raise ValueError("spacing_grid must not be empty")
-        if self.kind in ("bias_vs_spacing", "crlb_vs_spacing") and not self.sizes:
-            raise ValueError("sizes must not be empty")
-        if self.kind == "crlb_vs_spacing" and len(self.power_grid) != 1:
-            raise ValueError("crlb_vs_spacing uses exactly one transmit power")
+        for a, b in zip(self.power_grid, self.power_grid[1:]):
+            if noise_seed(0, a).spawn_key == noise_seed(0, b).spawn_key:
+                raise ValueError(f"powers {a} and {b} dBm share one noise stream")
+        if not kind.power_rows and len(self.power_grid) > 1:
+            raise ValueError(f"{self.kind} uses exactly one transmit power")
         if len({tuple(s) for s in self.sizes}) != len(self.sizes):
             raise ValueError("sizes must not repeat")
         for n1, n2 in self.sizes:
             if n1 < 1 or n2 < 1:
                 raise ValueError(f"sizes must be at least 1x1, got {n1}x{n2}")
-        if self.kind == "mc_rmse" and self.trials < 1:
-            raise ValueError("mc_rmse sweeps need trials >= 1")
+        if "rmse" in kind.columns and self.trials < 1:
+            raise ValueError(f"{self.kind} sweeps need trials >= 1")
         if not 0 <= self.trials < channel.TRIAL_LIMIT:
             raise ValueError(f"trials must be >= 0 and < 2**32, got {self.trials}")
 
@@ -122,14 +142,15 @@ def _build_point(sc: Scenario):
     return model_pair(impedances, sample_loads(sc))
 
 
-def _point_pair(request: SweepRequest, sc, d, n1, n2, model_sink) -> FactoredPair:
-    """Grid point (d, n1, n2)'s pair, from its scenario ``sc``; the pair is
-    the only holder of its models."""
-    d_true, d_est, x_true = _build_point(sc)
-    d_est = d_true if request.matched else d_est
-    if model_sink is not None:
-        model_sink(d, n1, n2, d_true, d_est)
-    return FactoredPair(d_est, d_true, x_true)
+def _report(pair: FactoredPair, columns, p_t=None, gamma=None, rmse=None) -> BoundReport:
+    """A point's report at one power, holding the bound parts ``columns``
+    print, so the pair factors only the models those parts need."""
+    lb = "lb" in columns
+    return BoundReport(
+        p_t, gamma, rmse=rmse,
+        tr_mcrb=pair.report(p_t, gamma).tr_mcrb if lb else None,
+        tr_bias=pair.tr_bias if lb or "sqrt_tr_bias" in columns else None,
+        crlb=pair.crlb(gamma) if "crlb" in columns else None)
 
 
 def _usable_cpus() -> int:
@@ -170,9 +191,7 @@ def _parallel_map(task, n: int) -> list:
     cancelled. Every worker is reaped before this returns."""
     cpus = _usable_cpus()
     workers = min(n, cpus)
-    if workers < 2:
-        return [task(i) for i in range(n)]
-    if "fork" not in multiprocessing.get_all_start_methods():
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [task(i) for i in range(n)]
     # fork, not spawn: a forked worker starts with this process's imports
     # and pair memo, and inherits its initializer arguments, so ``task``
@@ -189,17 +208,15 @@ def _parallel_map(task, n: int) -> list:
 
 
 def _grid(request: SweepRequest, read, model_sink=None) -> list[tuple]:
-    """``(variables, read(pair))`` per point, spacing-major: each (spacing,
-    size) of a spacing sweep, each spacing at the scenario's size for a
-    power sweep. Every point's scenario is built, and so checked, in this
-    process before any point's models, so a point the config cannot hold
-    fails at once, named. A pair is built and read inside its point's
-    annotation, and only what ``read`` returns outlives the point. A
-    spacing sweep runs one worker task per spacing, its sizes in order, so
-    the pair memo's hits across sizes stay in one process; a power sweep
-    keeps its pairs, so it builds them, and calls ``model_sink``, in this
-    process."""
-    power = request.kind in ("lb_vs_power", "mc_rmse")
+    """``(variables, read(pair))`` per point of the kind's grid,
+    spacing-major. Every point's scenario is built, and so checked, here
+    before any point's models, so a point the config cannot hold fails at
+    once, named. A pair is built and read inside its point's annotation,
+    and only what ``read`` returns outlives the point. A spacing x size
+    sweep runs one task per spacing, so the pair memo's hits across sizes
+    stay in one process; a power sweep keeps its pairs, so it builds them,
+    and calls ``model_sink``, here."""
+    power = SWEEP_KINDS[request.kind].power_rows
     sizes = [(request.scenario.ris.n1, request.scenario.ris.n2)] if power else request.sizes
 
     def where(d, n1, n2):
@@ -215,13 +232,21 @@ def _grid(request: SweepRequest, read, model_sink=None) -> list[tuple]:
     scenarios = [[scenario_at(d, n1, n2) for n1, n2 in sizes]
                  for d in request.spacing_grid]
 
+    def pair_at(sc, d, n1, n2) -> FactoredPair:
+        """The point's pair, the only holder of its models."""
+        d_true, d_est, x_true = _build_point(sc)
+        d_est = d_true if request.matched else d_est
+        if model_sink is not None:
+            model_sink(d, n1, n2, d_true, d_est)
+        return FactoredPair(d_est, d_true, x_true)
+
     def points_at(i):
         d = request.spacing_grid[i]
         out = []
         for (n1, n2), sc in zip(sizes, scenarios[i]):
             try:
                 out.append(({"d_over_lambda": d, "n1": n1, "n2": n2},
-                            read(_point_pair(request, sc, d, n1, n2, model_sink))))
+                            read(pair_at(sc, d, n1, n2))))
             except ComputationError as exc:
                 raise annotate(exc, where(d, n1, n2))
         return out
@@ -231,20 +256,29 @@ def _grid(request: SweepRequest, read, model_sink=None) -> list[tuple]:
     return [point for points in per_spacing for point in points]
 
 
-def _power_sweep(request: SweepRequest, model_sink) -> SweepResult:
-    scenario = request.scenario
-    # convert first, so an unusable power fails before any model is built
+def _sweep(request: SweepRequest, kind: str, model_sink=None) -> SweepResult:
+    """The rows of ``request``, which must be of ``kind``. Its powers are
+    converted first, so an unusable one fails before any model is built. A
+    power sweep factors its pairs inside their points' annotations, runs
+    each power's trials, then builds each row's report once."""
+    if request.kind != kind:
+        raise ValueError(f"expected kind {kind!r}, got {request.kind!r}")
+    scenario, columns = request.scenario, SWEEP_KINDS[kind].columns
     powers = []
     for p_dbm in request.power_grid:
         p_t = dbm_to_watts(p_dbm)
         powers.append((p_dbm, p_t, snr(p_t, scenario.noise.sigma2)))
 
-    def read(pair):
-        return pair, [replace(pair.report(p_t, gamma), crlb=pair.crlb(gamma))
-                      for _, p_t, gamma in powers]
-
     with single_threaded_blas():
-        pairs, per_pair = zip(*(point for _, point in _grid(request, read, model_sink)))
+        if not SWEEP_KINDS[kind].power_rows:
+            at = powers[0][1:] if powers else ()
+            return SweepResult(kind, _grid(request, lambda p: _report(p, columns, *at)))
+
+        def factored(pair):  # reading a report factors every model the rows read
+            _report(pair, columns, *powers[0][1:])
+            return pair
+
+        pairs = [pair for _, pair in _grid(request, factored, model_sink)]
 
         def trials_at(i):
             p_dbm, p_t, _ = powers[i]
@@ -253,57 +287,37 @@ def _power_sweep(request: SweepRequest, model_sink) -> SweepResult:
                                  noiseless=request.noiseless)
 
         if request.trials == 0:
-            per_power = [None] * len(powers)
+            per_power = [[None] * len(pairs)] * len(powers)
         elif request.noiseless:  # one solve per pair: not worth a fork
             per_power = [trials_at(i) for i in range(len(powers))]
         else:
             per_power = _parallel_map(trials_at, len(powers))
-        rows = []
-        for (p_dbm, _, _), reports, rmses in zip(powers, zip(*per_pair), per_power):
-            if rmses is not None:
-                reports = [replace(rep, rmse=rmse) for rep, rmse in zip(reports, rmses)]
-            rows += [({"p_t_dbm": p_dbm, "d_over_lambda": d}, rep)
-                     for d, rep in zip(request.spacing_grid, reports)]
-    return SweepResult(kind=request.kind, rows=rows)
+        rows = [({"p_t_dbm": p_dbm, "d_over_lambda": d},
+                 _report(pair, columns, p_t, gamma, rmse))
+                for (p_dbm, p_t, gamma), rmses in zip(powers, per_power)
+                for d, pair, rmse in zip(request.spacing_grid, pairs, rmses)]
+    return SweepResult(kind, rows)
 
 
 def run_lb_vs_power(request: SweepRequest, model_sink=None) -> SweepResult:
     """Bounds (and optionally estimator RMSE) over a transmit-power grid,
     one curve per RIS element spacing."""
-    if request.kind != "lb_vs_power":
-        raise ValueError(f"expected kind 'lb_vs_power', got {request.kind!r}")
-    return _power_sweep(request, model_sink)
+    return _sweep(request, "lb_vs_power", model_sink)
 
 
 def run_mc_rmse(request: SweepRequest, model_sink=None) -> SweepResult:
     """Monte-Carlo estimator RMSE alongside the bounds over a power grid."""
-    if request.kind != "mc_rmse":
-        raise ValueError(f"expected kind 'mc_rmse', got {request.kind!r}")
-    return _power_sweep(request, model_sink)
-
-
-def _spacing_sweep(request: SweepRequest, read) -> SweepResult:
-    """One ``read(pair)`` report per (spacing, size) point, spacing-major."""
-    with single_threaded_blas():
-        return SweepResult(kind=request.kind, rows=_grid(request, read))
+    return _sweep(request, "mc_rmse", model_sink)
 
 
 def run_bias_vs_spacing(request: SweepRequest) -> SweepResult:
     """SNR-independent error floor versus element spacing, per RIS size."""
-    if request.kind != "bias_vs_spacing":
-        raise ValueError(f"expected kind 'bias_vs_spacing', got {request.kind!r}")
-    return _spacing_sweep(request, lambda pair: BoundReport(
-        p_t=None, gamma=None, tr_mcrb=None, tr_bias=pair.tr_bias))
+    return _sweep(request, "bias_vs_spacing")
 
 
 def run_crlb_vs_spacing(request: SweepRequest) -> SweepResult:
     """Matched-model bound versus element spacing at one fixed power."""
-    if request.kind != "crlb_vs_spacing":
-        raise ValueError(f"expected kind 'crlb_vs_spacing', got {request.kind!r}")
-    p_t = dbm_to_watts(request.power_grid[0])
-    gamma = snr(p_t, request.scenario.noise.sigma2)
-    return _spacing_sweep(request, lambda pair: BoundReport(
-        p_t=p_t, gamma=gamma, tr_mcrb=None, tr_bias=None, crlb=pair.crlb(gamma)))
+    return _sweep(request, "crlb_vs_spacing")
 
 
 def run_impedance_sweep(scenario: Scenario,
@@ -340,22 +354,6 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _csv_columns(result: SweepResult) -> list[str]:
-    if result.kind in ("lb_vs_power", "mc_rmse"):
-        cols = ["p_t_dbm", "d_over_lambda", "tr_mcrb", "tr_bias", "lb", "crlb"]
-        if any(rep is not None and rep.rmse is not None for _, rep in result.rows) \
-                or result.kind == "mc_rmse":
-            cols.append("rmse")
-        return cols
-    if result.kind == "bias_vs_spacing":
-        return ["d_over_lambda", "n1", "n2", "sqrt_tr_bias"]
-    if result.kind == "crlb_vs_spacing":
-        return ["d_over_lambda", "n1", "n2", "crlb"]
-    if result.kind == "impedance_sweep":
-        return ["d_over_lambda", "re_z_ohm", "im_z_ohm", "abs_z_ohm"]
-    raise ValueError(f"unknown sweep kind {result.kind!r}")
-
-
 def _row_value(column: str, variables: dict, report: BoundReport | None):
     if column in variables:
         return variables[column]
@@ -367,8 +365,12 @@ def _row_value(column: str, variables: dict, report: BoundReport | None):
 
 
 def csv_text(result: SweepResult) -> str:
-    """Render a sweep result as CSV with round-trip-exact float formatting."""
-    columns = _csv_columns(result)
+    """Render a sweep result as CSV with round-trip-exact float formatting:
+    the kind's columns, and ``rmse`` too where the rows carry one."""
+    columns = list(_CSV_COLUMNS[result.kind])
+    if "rmse" not in columns and any(getattr(rep, "rmse", None) is not None
+                                     for _, rep in result.rows):
+        columns.append("rmse")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)

@@ -246,8 +246,8 @@ class TestLowerBound:
 
     def test_lb_needs_both_parts(self):
         from ris_mcrb.bounds import BoundReport
-        assert BoundReport(p_t=None, gamma=None, tr_mcrb=None, tr_bias=1.0).lb is None
-        assert BoundReport(p_t=1.0, gamma=1.0, tr_mcrb=1.0, tr_bias=None).lb is None
+        assert BoundReport(tr_bias=1.0).lb is None
+        assert BoundReport(p_t=1.0, gamma=1.0, tr_mcrb=1.0).lb is None
 
 
 class TestCrlb:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import ctypes
 import io
@@ -120,11 +121,51 @@ class TestSweepRequest:
         (dict(kind="mc_rmse", power_grid=[0.0], trials=2**32, noiseless=True),
          "2\\*\\*32"),
         (dict(kind="lb_vs_power", power_grid=[0.0], trials=2**32), "2\\*\\*32"),
+        (dict(kind="crlb_vs_spacing", power_grid=[0.0, 40.0], sizes=[(2, 2)]),
+         "one transmit power"),
     ], ids=["empty-size", "negative-size", "mc-trials", "noiseless-trials",
-            "lb-trials"])
+            "lb-trials", "crlb-two-powers"])
     def test_rejects_request_before_any_point(self, small_scenario, fields, match):
         with pytest.raises(ValueError, match=match):
             SweepRequest(scenario=small_scenario, spacing_grid=[0.5], **fields)
+
+    @pytest.mark.parametrize("fields,unread", [
+        (dict(kind="bias_vs_spacing", sizes=[(4, 4)], matched=True), "matched"),
+        (dict(kind="bias_vs_spacing", sizes=[(4, 4)], power_grid=[40.0]), "power_grid"),
+        (dict(kind="crlb_vs_spacing", sizes=[(4, 4)], power_grid=[40.0], matched=True),
+         "matched"),
+        (dict(kind="crlb_vs_spacing", sizes=[(4, 4)], power_grid=[40.0], trials=3),
+         "trials"),
+        (dict(kind="lb_vs_power", power_grid=[0.0], sizes=[(8, 8)]), "sizes"),
+        (dict(kind="lb_vs_power", power_grid=[0.0], trials=2, noiseless=True),
+         "noiseless"),
+        (dict(kind="mc_rmse", power_grid=[0.0], trials=2, sizes=[(4, 4)]), "sizes"),
+    ], ids=["bias-matched", "bias-power", "crlb-matched", "crlb-trials", "lb-sizes",
+            "lb-noiseless", "mc-sizes"])
+    def test_rejects_fields_its_kind_never_reads(self, small_scenario, fields, unread):
+        # such a field would silently change the rows (a matched bias floor
+        # is zero) or be ignored (a power sweep runs at the scenario's size)
+        with pytest.raises(ValueError, match=f"^{fields['kind']} .*{unread}"):
+            SweepRequest(scenario=small_scenario, spacing_grid=[0.5], **fields)
+
+    def test_unread_fields_may_keep_their_defaults(self, small_scenario):
+        request = SweepRequest(kind="bias_vs_spacing", scenario=small_scenario,
+                               power_grid=[], spacing_grid=[0.5], sizes=[(2, 2)],
+                               trials=0, matched=False, noiseless=False)
+        assert request.sizes == [(2, 2)]
+
+    def test_rejects_powers_that_share_a_noise_stream(self, small_scenario):
+        # noise streams are keyed at 0.1 mdBm, so these two powers would
+        # draw the same noise although the grid is strictly increasing
+        assert noise_seed(0, -80.0).spawn_key == noise_seed(0, -79.99996).spawn_key
+        fields = dict(kind="mc_rmse", scenario=small_scenario, spacing_grid=[0.5],
+                      trials=2)
+        with pytest.raises(ValueError, match=r"-80\.0 and -79\.99996 dBm"):
+            SweepRequest(power_grid=[-80.0, -79.99996], **fields)
+        with pytest.raises(ValueError, match=r"10\.0 and 10\.00004 dBm"):
+            SweepRequest(power_grid=[0.0, 10.0, 10.00004], **fields)
+        # one key step apart: two streams
+        assert SweepRequest(power_grid=[-80.0, -79.9999], **fields).trials == 2
 
     def test_trial_bound_is_the_streams_bound(self, small_scenario, monkeypatch):
         monkeypatch.setattr(channel, "TRIAL_LIMIT", 8)
@@ -617,11 +658,20 @@ class TestImpedanceSweep:
 
 
 class TestCsvOutput:
-    def test_empty_rows_give_header_only(self, tmp_path):
-        result = SweepResult(kind="bias_vs_spacing", rows=[])
+    HEADERS = {
+        "lb_vs_power": "p_t_dbm,d_over_lambda,tr_mcrb,tr_bias,lb,crlb",
+        "mc_rmse": "p_t_dbm,d_over_lambda,tr_mcrb,tr_bias,lb,crlb,rmse",
+        "bias_vs_spacing": "d_over_lambda,n1,n2,sqrt_tr_bias",
+        "crlb_vs_spacing": "d_over_lambda,n1,n2,crlb",
+        "impedance_sweep": "d_over_lambda,re_z_ohm,im_z_ohm,abs_z_ohm",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(HEADERS))
+    def test_empty_rows_give_header_only(self, tmp_path, kind):
+        assert set(self.HEADERS) == set(experiments.SWEEP_KINDS) | {"impedance_sweep"}
         path = tmp_path / "empty.csv"
-        emit_csv(result, path)
-        assert path.read_text() == "d_over_lambda,n1,n2,sqrt_tr_bias\n"
+        emit_csv(SweepResult(kind=kind, rows=[]), path)
+        assert path.read_text() == self.HEADERS[kind] + "\n"
 
     def test_roundtrip_full_precision(self, small_scenario, tmp_path):
         request = SweepRequest(kind="lb_vs_power", scenario=small_scenario,
@@ -1025,6 +1075,16 @@ class TestCliRequests:
         scenario = request.scenario
         assert (scenario.ris.n1, scenario.ris.n2, scenario.rng_seed) == (2, 2, 7)
         capsys.readouterr()
+
+    def test_sweep_subcommands_are_the_table_kinds(self):
+        # every subcommand but impedance-sweep builds a SweepRequest of the
+        # kind it is named after, and every kind has its subcommand
+        [subcommands] = [action for action in cli.build_parser()._actions
+                         if isinstance(action, argparse._SubParsersAction)]
+        kinds = {name: parser.get_default("kind")
+                 for name, parser in subcommands.choices.items()}
+        assert kinds.pop("impedance-sweep") is None
+        assert kinds == {kind.replace("_", "-"): kind for kind in experiments.SWEEP_KINDS}
 
     @pytest.mark.parametrize("command", ["lb-vs-power", "mc-rmse"])
     def test_dump_model_hands_runner_a_sink(self, tmp_path, monkeypatch, capsys,
