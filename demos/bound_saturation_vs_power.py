@@ -18,7 +18,7 @@ Run: python demos/bound_saturation_vs_power.py
 import numpy as np
 
 from ris_mcrb import default_scenario
-from ris_mcrb.experiments import SweepRequest, run_lb_vs_power
+from ris_mcrb.experiments import SweepRequest, run_mc_rmse
 
 POWERS_DBM = [float(p) for p in range(-10, 81, 10)]
 SPACINGS = [0.02, 0.1, 0.5]
@@ -26,13 +26,13 @@ TRIALS = 200
 
 scenario = default_scenario()
 request = SweepRequest(
-    kind="lb_vs_power",
+    kind="mc_rmse",
     scenario=scenario,
     power_grid=POWERS_DBM,
     spacing_grid=SPACINGS,
     trials=TRIALS,
 )
-result = run_lb_vs_power(request)
+result = run_mc_rmse(request)
 
 by_spacing = {d: [] for d in SPACINGS}
 for variables, report in result.rows:

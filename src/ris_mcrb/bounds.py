@@ -62,7 +62,6 @@ class _LsqFactor:
                 f"of the triangular factor {rcond:.3e})",
                 rcond=float(rcond),
             )
-        self.rcond = float(rcond)
 
     def _solve_r(self, b):
         """Solve R @ x = b, for a vector or a matrix b. ``qr`` returns R

@@ -119,9 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"(default: {_listed(DEFAULT_SPACING_GRID)})")
 
     p = sub.add_parser("lb-vs-power", parents=[common, power],
-                       help="mismatched bound (and optional RMSE) vs transmit power")
-    p.add_argument("--trials", type=int, default=0, metavar="N",
-                   help="Monte-Carlo trials per point (default: 0, bounds only)")
+                       help="mismatched bound vs transmit power")
     p.set_defaults(kind="lb_vs_power", runner=run_lb_vs_power)
 
     p = sub.add_parser("bias-vs-spacing", parents=[common, spacing],

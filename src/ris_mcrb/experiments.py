@@ -8,22 +8,21 @@ runner checks that its request is of its own kind; its rows follow the
 grids' order.
 
 One grid loop (``_grid``) serves every kind. A point's models come from
-``_build_point`` (``model_pair``'s complex ``(d_true, d_est, x_true)`` at
-the default quadrature) and live only in its lazy ``bounds.FactoredPair``,
-so each trace is computed once and only if a column needs it. The RIS
-loads come from the load substream of the master seed, so every spacing
-and size sees the same draws. Noise streams are keyed by the power value,
-and each power's trials draw once for all its spacings
-(``bounds.mc_rmse_pairs``), so dropping a grid point never changes the
-remaining rows.
+``_build_point`` (``model_pair``'s complex ``(d_true, d_est, x_true)``)
+and live only in its lazy ``bounds.FactoredPair``, so each trace is
+computed once and only if a column needs it. The RIS loads come from
+the load substream of the master seed, so every spacing and size sees
+the same draws. Noise streams are keyed by the power value, and each
+power's trials draw once for all its spacings (``bounds.mc_rmse_pairs``),
+so dropping a grid point never changes the remaining rows.
 
 The runners run BLAS single-threaded and spread their work over forked
 worker processes (``_parallel_map``). A spacing x size sweep runs one task
 per spacing, every size at it. A power sweep factors its pairs in the
 calling process, since every power reads all of them, then runs one task
 per power of Monte-Carlo trials on workers that inherit the pairs through
-the fork; noiseless trials and ``trials == 0`` run inline. Every path
-gives the serial loop's bits.
+the fork; noiseless trials run inline, and a kind that prints no ``rmse``
+runs none. Every path gives the serial loop's bits.
 """
 
 from __future__ import annotations
@@ -55,12 +54,10 @@ class _Kind:
 
 
 # What each sweep kind is. A spacing x size sweep runs at its one power, if
-# it reads one; a kind that prints rmse needs trials, and any sweep that
-# runs trials prints rmse.
+# it reads one; the one kind that prints rmse is the one that runs trials.
 _POWER_COLUMNS = ("p_t_dbm", "d_over_lambda", "tr_mcrb", "tr_bias", "lb", "crlb")
 SWEEP_KINDS = {
-    "lb_vs_power": _Kind(True, ("power_grid", "spacing_grid", "trials", "matched"),
-                         _POWER_COLUMNS),
+    "lb_vs_power": _Kind(True, ("power_grid", "spacing_grid", "matched"), _POWER_COLUMNS),
     "mc_rmse": _Kind(True, ("power_grid", "spacing_grid", "trials", "matched", "noiseless"),
                      _POWER_COLUMNS + ("rmse",)),
     "bias_vs_spacing": _Kind(False, ("spacing_grid", "sizes"),
@@ -286,7 +283,7 @@ def _sweep(request: SweepRequest, kind: str, model_sink=None) -> SweepResult:
                                  noise_seed(scenario.rng_seed, p_dbm),
                                  noiseless=request.noiseless)
 
-        if request.trials == 0:
+        if "rmse" not in columns:
             per_power = [[None] * len(pairs)] * len(powers)
         elif request.noiseless:  # one solve per pair: not worth a fork
             per_power = [trials_at(i) for i in range(len(powers))]
@@ -300,8 +297,7 @@ def _sweep(request: SweepRequest, kind: str, model_sink=None) -> SweepResult:
 
 
 def run_lb_vs_power(request: SweepRequest, model_sink=None) -> SweepResult:
-    """Bounds (and optionally estimator RMSE) over a transmit-power grid,
-    one curve per RIS element spacing."""
+    """Bounds over a transmit-power grid, one curve per RIS element spacing."""
     return _sweep(request, "lb_vs_power", model_sink)
 
 
@@ -365,12 +361,9 @@ def _row_value(column: str, variables: dict, report: BoundReport | None):
 
 
 def csv_text(result: SweepResult) -> str:
-    """Render a sweep result as CSV with round-trip-exact float formatting:
-    the kind's columns, and ``rmse`` too where the rows carry one."""
-    columns = list(_CSV_COLUMNS[result.kind])
-    if "rmse" not in columns and any(getattr(rep, "rmse", None) is not None
-                                     for _, rep in result.rows):
-        columns.append("rmse")
+    """Render a sweep result as CSV with round-trip-exact float formatting,
+    in the kind's columns."""
+    columns = _CSV_COLUMNS[result.kind]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)

@@ -303,15 +303,15 @@ def scenario_from_config(mapping: dict | None) -> Scenario:
     spacing = cfg["ris_spacing_over_lambda"] * lam
     if not spacing > 0.0:
         raise ConfigError("ris_spacing_over_lambda must be positive")
-    grid = build_ris_grid(n1, n2, spacing, cfg["ris_center_m"])
-
+    # checked before the grid is built, which an oversized RIS cannot afford
     g = cfg["num_transmissions"]
-    if g < grid.num_elements:
+    if g < n1 * n2:
         raise ConfigError(
             f"num_transmissions: {g} transmissions cannot identify "
-            f"{grid.num_elements} complex channel entries (the model "
+            f"{n1 * n2} complex channel entries (the model "
             "matrix would be rank deficient)"
         )
+    grid = build_ris_grid(n1, n2, spacing, cfg["ris_center_m"])
 
     tx = Radiator(np.asarray(cfg["tx_position_m"]), h, r)
     rx = Radiator(np.asarray(cfg["rx_position_m"]), h, r)

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import ctypes
+import dataclasses
 import io
 import multiprocessing
 import os
@@ -120,11 +121,10 @@ class TestSweepRequest:
         (dict(kind="mc_rmse", power_grid=[0.0], trials=2**32), "2\\*\\*32"),
         (dict(kind="mc_rmse", power_grid=[0.0], trials=2**32, noiseless=True),
          "2\\*\\*32"),
-        (dict(kind="lb_vs_power", power_grid=[0.0], trials=2**32), "2\\*\\*32"),
         (dict(kind="crlb_vs_spacing", power_grid=[0.0, 40.0], sizes=[(2, 2)]),
          "one transmit power"),
     ], ids=["empty-size", "negative-size", "mc-trials", "noiseless-trials",
-            "lb-trials", "crlb-two-powers"])
+            "crlb-two-powers"])
     def test_rejects_request_before_any_point(self, small_scenario, fields, match):
         with pytest.raises(ValueError, match=match):
             SweepRequest(scenario=small_scenario, spacing_grid=[0.5], **fields)
@@ -137,14 +137,15 @@ class TestSweepRequest:
         (dict(kind="crlb_vs_spacing", sizes=[(4, 4)], power_grid=[40.0], trials=3),
          "trials"),
         (dict(kind="lb_vs_power", power_grid=[0.0], sizes=[(8, 8)]), "sizes"),
-        (dict(kind="lb_vs_power", power_grid=[0.0], trials=2, noiseless=True),
-         "noiseless"),
+        (dict(kind="lb_vs_power", power_grid=[0.0], trials=3), "trials"),
+        (dict(kind="lb_vs_power", power_grid=[0.0], noiseless=True), "noiseless"),
         (dict(kind="mc_rmse", power_grid=[0.0], trials=2, sizes=[(4, 4)]), "sizes"),
     ], ids=["bias-matched", "bias-power", "crlb-matched", "crlb-trials", "lb-sizes",
-            "lb-noiseless", "mc-sizes"])
+            "lb-trials", "lb-noiseless", "mc-sizes"])
     def test_rejects_fields_its_kind_never_reads(self, small_scenario, fields, unread):
         # such a field would silently change the rows (a matched bias floor
-        # is zero) or be ignored (a power sweep runs at the scenario's size)
+        # is zero) or be ignored (a power sweep runs at the scenario's size,
+        # and only mc_rmse runs trials)
         with pytest.raises(ValueError, match=f"^{fields['kind']} .*{unread}"):
             SweepRequest(scenario=small_scenario, spacing_grid=[0.5], **fields)
 
@@ -193,21 +194,6 @@ class TestLbVsPower:
         result = run_lb_vs_power(request)
         got = [(v["p_t_dbm"], v["d_over_lambda"]) for v, _ in result.rows]
         assert got == [(0.0, 0.1), (0.0, 0.5), (10.0, 0.1), (10.0, 0.5)]
-
-    def test_grid_point_independence(self, small_scenario):
-        full = SweepRequest(kind="lb_vs_power", scenario=small_scenario,
-                            power_grid=[0.0, 10.0, 20.0], spacing_grid=[0.1, 0.5],
-                            trials=10)
-        sparse = SweepRequest(kind="lb_vs_power", scenario=small_scenario,
-                              power_grid=[0.0, 20.0], spacing_grid=[0.5],
-                              trials=10)
-        full_rows = rows_by_key(run_lb_vs_power(full), "p_t_dbm", "d_over_lambda")
-        sparse_rows = rows_by_key(run_lb_vs_power(sparse), "p_t_dbm", "d_over_lambda")
-        for key, report in sparse_rows.items():
-            other = full_rows[key]
-            assert report.lb == other.lb
-            assert report.crlb == other.crlb
-            assert report.rmse == other.rmse
 
     def test_matches_direct_bound_computation(self, small_scenario):
         d = 0.25
@@ -384,6 +370,21 @@ class TestMcRmseSweep:
         assert time.perf_counter() - started < 5.0
         assert report.rmse == pytest.approx(np.sqrt(report.tr_bias), rel=1e-13)
 
+    def test_grid_point_independence(self, small_scenario):
+        full = SweepRequest(kind="mc_rmse", scenario=small_scenario,
+                            power_grid=[0.0, 10.0, 20.0], spacing_grid=[0.1, 0.5],
+                            trials=10)
+        sparse = SweepRequest(kind="mc_rmse", scenario=small_scenario,
+                              power_grid=[0.0, 20.0], spacing_grid=[0.5],
+                              trials=10)
+        full_rows = rows_by_key(run_mc_rmse(full), "p_t_dbm", "d_over_lambda")
+        sparse_rows = rows_by_key(run_mc_rmse(sparse), "p_t_dbm", "d_over_lambda")
+        for key, report in sparse_rows.items():
+            other = full_rows[key]
+            assert report.lb == other.lb
+            assert report.crlb == other.crlb
+            assert report.rmse == other.rmse
+
     def test_rmse_always_reported(self, small_scenario):
         request = SweepRequest(kind="mc_rmse", scenario=small_scenario,
                                power_grid=[0.0], spacing_grid=[0.5], trials=5)
@@ -476,13 +477,12 @@ class TestPowerSweepSharing:
     SPACINGS = [0.05, 0.2, 0.5]
     POWERS = [0.0, 20.0, 40.0, 60.0]
 
-    @pytest.mark.parametrize("runner", [run_mc_rmse, run_lb_vs_power])
     @pytest.mark.parametrize("matched", [False, True])
-    def test_rmse_equals_separate_mc_rmse(self, small_scenario, runner, matched):
-        request = power_request(small_scenario, runner, power_grid=[0.0, 40.0],
+    def test_rmse_equals_separate_mc_rmse(self, small_scenario, matched):
+        request = power_request(small_scenario, run_mc_rmse, power_grid=[0.0, 40.0],
                                 spacing_grid=self.SPACINGS, trials=6,
                                 matched=matched)
-        rows = runner(request).rows
+        rows = run_mc_rmse(request).rows
         models = {d: build_pair(small_scenario, d) for d in self.SPACINGS}
         for variables, report in rows:
             d_true, d_est, x_true = models[variables["d_over_lambda"]]
@@ -609,8 +609,9 @@ class TestOnePairPerPoint:
         if runner in (run_bias_vs_spacing, run_crlb_vs_spacing):
             request = self.spacing_request(small_scenario, runner)
         else:
+            trials = {"trials": 2} if runner is run_mc_rmse else {}
             request = power_request(small_scenario, runner, power_grid=[0.0],
-                                    spacing_grid=self.SPACINGS, trials=2)
+                                    spacing_grid=self.SPACINGS, **trials)
         spoiled_builder(monkeypatch, unread)
         with pytest.raises(DegenerateDesignError, match=where):
             runner(request)
@@ -673,6 +674,19 @@ class TestCsvOutput:
         emit_csv(SweepResult(kind=kind, rows=[]), path)
         assert path.read_text() == self.HEADERS[kind] + "\n"
 
+    @pytest.mark.parametrize("kind", sorted(HEADERS))
+    def test_rows_never_change_the_header(self, kind):
+        # a row that carries every variable and bound part, rmse too,
+        # prints only its kind's columns
+        variables = {"p_t_dbm": 0.0, "d_over_lambda": 0.5, "n1": 2, "n2": 2,
+                     "re_z_ohm": 1.0, "im_z_ohm": 2.0, "abs_z_ohm": 3.0}
+        report = bounds.BoundReport(1.0, 2.0, tr_mcrb=3.0, tr_bias=4.0, crlb=5.0,
+                                    rmse=6.0)
+        header, _ = csv_text(SweepResult(kind=kind, rows=[(variables, report)])).splitlines()
+        assert header == self.HEADERS[kind]
+        if kind in experiments.SWEEP_KINDS:
+            assert header == ",".join(experiments.SWEEP_KINDS[kind].columns)
+
     def test_roundtrip_full_precision(self, small_scenario, tmp_path):
         request = SweepRequest(kind="lb_vs_power", scenario=small_scenario,
                                power_grid=[0.0, 40.0], spacing_grid=[0.5])
@@ -688,10 +702,10 @@ class TestCsvOutput:
             assert float(row_text["crlb"]) == report.crlb
 
     def test_byte_determinism(self, small_scenario):
-        request = SweepRequest(kind="lb_vs_power", scenario=small_scenario,
+        request = SweepRequest(kind="mc_rmse", scenario=small_scenario,
                                power_grid=[0.0], spacing_grid=[0.5], trials=4)
-        a = csv_text(run_lb_vs_power(request))
-        b = csv_text(run_lb_vs_power(request))
+        a = csv_text(run_mc_rmse(request))
+        b = csv_text(run_mc_rmse(request))
         assert a == b
 
     def test_rmse_column_only_when_sampled(self, small_scenario):
@@ -903,8 +917,6 @@ class TestCli:
          None, None),
         (["mc-rmse", "--noiseless", "--trials", "4294967296",
           "--spacings-over-lambda", "0.5"], None, None),
-        (["lb-vs-power", "--trials", "4294967296", "--spacings-over-lambda", "0.5"],
-         None, None),
         # 20 elements need more than the config's 16 pilots
         (["bias-vs-spacing", "--sizes", "2x2,5x4"], None,
          "spacing 0.002 lambda, size 5x4: num_transmissions"),
@@ -915,7 +927,7 @@ class TestCli:
         (["bias-vs-spacing", "--sizes", "2x2", "--spacings-over-lambda", "0.5,2.5"],
          TX_ABOVE, "spacing 2.5 lambda, size 2x2: tx_position_m"),
     ], ids=["empty-size", "crlb-empty-size", "mc-trials", "noiseless-trials",
-            "lb-trials", "pilots-at-a-size", "tx-inside-at-a-spacing",
+            "pilots-at-a-size", "tx-inside-at-a-spacing",
             "power-tx-inside-at-a-spacing", "tx-wire-above-an-element"])
     def test_bad_request_exits_before_any_point(self, tmp_path, capsys, monkeypatch,
                                                 argv, config, where):
@@ -1053,8 +1065,8 @@ class TestCliRequests:
 
     @pytest.mark.parametrize("argv,want", [
         (["lb-vs-power", "--powers-dbm", "-10,5", "--spacings-over-lambda", "0.3",
-          "--trials", "4", "--matched"],
-         dict(power_grid=[-10.0, 5.0], spacing_grid=[0.3], trials=4, matched=True)),
+          "--matched"],
+         dict(power_grid=[-10.0, 5.0], spacing_grid=[0.3], matched=True)),
         (["mc-rmse", "--powers-dbm", "20", "--spacings-over-lambda", "0.1,0.4",
           "--trials", "3", "--matched", "--noiseless"],
          dict(power_grid=[20.0], spacing_grid=[0.1, 0.4], trials=3, matched=True,
@@ -1086,6 +1098,17 @@ class TestCliRequests:
         assert kinds.pop("impedance-sweep") is None
         assert kinds == {kind.replace("_", "-"): kind for kind in experiments.SWEEP_KINDS}
 
+    def test_sweep_subcommands_offer_the_fields_their_kind_reads(self):
+        # a flag for a field the kind does not read would only ever be
+        # rejected; a read field without a flag could not be set
+        [subcommands] = [action for action in cli.build_parser()._actions
+                         if isinstance(action, argparse._SubParsersAction)]
+        request_fields = {f.name for f in dataclasses.fields(SweepRequest)}
+        for kind, entry in experiments.SWEEP_KINDS.items():
+            parser = subcommands.choices[kind.replace("_", "-")]
+            dests = {action.dest for action in parser._actions}
+            assert dests & request_fields == set(entry.reads), kind
+
     @pytest.mark.parametrize("command", ["lb-vs-power", "mc-rmse"])
     def test_dump_model_hands_runner_a_sink(self, tmp_path, monkeypatch, capsys,
                                             command):
@@ -1095,18 +1118,6 @@ class TestCliRequests:
         assert set(kwargs) == {"model_sink"} and callable(kwargs["model_sink"])
         assert (tmp_path / "models").is_dir()
         capsys.readouterr()
-
-    @pytest.mark.parametrize("extra", [[], ["--matched"]], ids=["mismatched", "matched"])
-    def test_lb_vs_power_trials_prints_mc_rmse_csv(self, tmp_path, capsys, extra):
-        cfg = tmp_path / "scenario.yaml"
-        cfg.write_text(TestCli.CONFIG)
-        args = ["--config", str(cfg), "--powers-dbm", "0,30",
-                "--spacings-over-lambda", "0.1,0.5", "--trials", "3"] + extra
-        assert main(["lb-vs-power"] + args) == 0
-        lb = capsys.readouterr().out
-        assert main(["mc-rmse"] + args) == 0
-        assert capsys.readouterr().out == lb
-        assert lb.splitlines()[0].endswith(",rmse")
 
 
 class TestNonFiniteQuadrature:
@@ -1144,7 +1155,6 @@ class TestParallelSweeps:
                        sizes=[(2, 2), (3, 2)])
         return [
             (run_lb_vs_power, SweepRequest(kind="lb_vs_power", **power)),
-            (run_lb_vs_power, SweepRequest(kind="lb_vs_power", trials=4, **power)),
             (run_mc_rmse, SweepRequest(kind="mc_rmse", trials=4, **power)),
             (run_mc_rmse, SweepRequest(kind="mc_rmse", trials=4, matched=True,
                                        **power)),
@@ -1396,7 +1406,7 @@ class TestPooledPowerSweeps:
 
     @pytest.mark.parametrize("runner,kwargs", [
         (run_mc_rmse, {"trials": 3, "noiseless": True}),
-        (run_lb_vs_power, {"trials": 0}),
+        (run_lb_vs_power, {}),
     ], ids=["noiseless", "no-trials"])
     def test_inline_power_paths_fork_no_pool(self, small_scenario, monkeypatch,
                                              runner, kwargs):
@@ -1482,7 +1492,7 @@ def test_computation_error_classes_all_checked():
     ("impedance-sweep", ["--distances-over-lambda", "(default: "
                          "0.002,0.005,0.01,0.02,0.05,0.1,0.2,0.5,1,2.5)"]),
     ("lb-vs-power", ["(default: -10,0,10,20,30,40,50,60,70,80)",
-                     "(default: 0.02,0.1,0.5)", "(default: 0, bounds only)"]),
+                     "(default: 0.02,0.1,0.5)"]),
     ("mc-rmse", ["(default: -10,0,10,20,30,40,50,60,70,80)",
                  "(default: 0.02,0.1,0.5)", "(default: 500)"]),
     ("bias-vs-spacing", ["(default: 0.002,0.005,0.01,0.02,0.05,0.1,0.2,0.5,1,2.5)",

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from ris_mcrb import scenario
+from ris_mcrb.cli import main
 from ris_mcrb.errors import ConfigError
 from ris_mcrb.scenario import (
     DEFAULT_CONFIG,
@@ -159,6 +161,33 @@ class TestLoadScenario:
     def test_too_few_transmissions_rejected(self):
         with pytest.raises(ConfigError, match="num_transmissions"):
             load_scenario("num_transmissions: 8\n")
+
+    @staticmethod
+    def refuse_large_grids(monkeypatch):
+        """Fail by assertion where a config would build an oversized grid:
+        the 100000 x 100000 one below would allocate 224 GiB."""
+        build = scenario.build_ris_grid
+
+        def small_only(n1, n2, *args):
+            assert n1 * n2 <= 256, f"a {n1}x{n2} grid was built"
+            return build(n1, n2, *args)
+
+        monkeypatch.setattr(scenario, "build_ris_grid", small_only)
+
+    def test_too_few_transmissions_rejected_before_the_grid(self, monkeypatch):
+        self.refuse_large_grids(monkeypatch)
+        with pytest.raises(ConfigError, match=r"^num_transmissions: 256 transmissions "
+                                              r"cannot identify 2250000 complex"):
+            scenario_from_config({"ris_n1": 1500, "ris_n2": 1500})
+
+    def test_oversized_ris_exits_2(self, monkeypatch, capsys):
+        self.refuse_large_grids(monkeypatch)
+        assert main(["bias-vs-spacing", "--sizes", "100000x100000",
+                     "--spacings-over-lambda", "0.5"]) == 2
+        assert capsys.readouterr().err == (
+            "ris-mcrb: config error: spacing 0.5 lambda, size 100000x100000: "
+            "num_transmissions: 256 transmissions cannot identify 10000000000 "
+            "complex channel entries (the model matrix would be rank deficient)\n")
 
     def test_malformed_yaml_reports_line(self):
         with pytest.raises(ConfigError, match="line"):
