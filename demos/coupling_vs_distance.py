@@ -1,35 +1,33 @@
 """How strongly do two thin-wire elements couple as they move apart?
 
-Sweeps the side-by-side separation of two identical dipoles
-(half-length lambda/64, wire radius lambda/500, 28 GHz) and tabulates the
-mutual impedance. The magnitude falls by five orders of magnitude between
-touching distance and 2.5 wavelengths, which is why element spacing
-decides whether coupling can be ignored.
+Sweeps the side-by-side separation of two identical dipoles of the
+default scenario (half-length lambda/64, wire radius lambda/500, 28 GHz)
+and tabulates the mutual impedance. The magnitude falls by five orders
+of magnitude between touching distance and 2.5 wavelengths, which is why
+element spacing decides whether coupling can be ignored.
 
 Run: python demos/coupling_vs_distance.py
 """
 
-import numpy as np
-
-from ris_mcrb import Radiator, derive_constants, mutual_impedance
+from ris_mcrb import default_scenario
+from ris_mcrb.experiments import run_impedance_sweep
 
 DISTANCES_OVER_LAMBDA = [0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.5]
 
-constants = derive_constants(28e9)
-lam = constants.wavelength
-h, r = lam / 64.0, lam / 500.0
+scenario = default_scenario()
+lam = scenario.constants.wavelength
+h, r = scenario.element_half_length, scenario.element_wire_radius
+result = run_impedance_sweep(scenario, DISTANCES_OVER_LAMBDA)
 
 print(f"wavelength = {lam * 1e3:.3f} mm, half-length = {h * 1e6:.1f} um, "
       f"wire radius = {r * 1e6:.1f} um\n")
 print(f"{'d/lambda':>9} {'Re Z (ohm)':>13} {'Im Z (ohm)':>13} {'|Z| (ohm)':>12}")
 
 magnitudes = []
-for d in DISTANCES_OVER_LAMBDA:
-    first = Radiator(np.zeros(3), h, r)
-    second = Radiator(np.array([d * lam, 0.0, 0.0]), h, r)
-    z = mutual_impedance(first, second, constants)
-    magnitudes.append(abs(z))
-    print(f"{d:>9} {z.real:>13.5g} {z.imag:>13.5g} {abs(z):>12.5g}")
+for row, _ in result.rows:
+    magnitudes.append(row["abs_z_ohm"])
+    print(f"{row['d_over_lambda']:>9} {row['re_z_ohm']:>13.5g} "
+          f"{row['im_z_ohm']:>13.5g} {row['abs_z_ohm']:>12.5g}")
 
 print(f"\n|Z| drops by a factor {magnitudes[0] / magnitudes[-1]:.0f} "
       "across the sweep.")

@@ -261,8 +261,6 @@ def mc_rmse(
     p_t: float,
     trials: int,
     noise_seed: np.random.SeedSequence | int,
-    *,
-    noiseless: bool = False,
 ) -> float:
     """Monte-Carlo RMSE of the least-squares estimator.
 
@@ -272,10 +270,10 @@ def mc_rmse(
     ``TRIAL_BLOCK`` at a time, with one matrix product and one triangular
     solve per block (``mc_rmse_pairs``); a trial's draws come from its
     own stream wherever its block starts, and the errors are summed in
-    trial order. ``noiseless`` trials draw nothing and build no streams.
+    trial order.
     """
     return mc_rmse_pairs(scenario, [FactoredPair(d_est, d_true, x_true)], p_t,
-                         trials, noise_seed, noiseless=noiseless)[0]
+                         trials, noise_seed)[0]
 
 
 def mc_rmse_pairs(
@@ -284,8 +282,6 @@ def mc_rmse_pairs(
     p_t: float,
     trials: int,
     noise_seed: np.random.SeedSequence | int,
-    *,
-    noiseless: bool = False,
 ) -> list[float]:
     """``mc_rmse`` of every pair at one power. Trials run in blocks of
     ``TRIAL_BLOCK``: each trial's noise is drawn once, from its own stream,
@@ -293,9 +289,7 @@ def mc_rmse_pairs(
     with one ``Q^H`` product and one triangular solve. Each pair is
     projected on its own and keeps its own running total in trial order,
     so its result equals (``==``) the separate ``mc_rmse`` call on that
-    pair. ``noiseless`` trials are all the same trial, so each pair solves
-    once and its RMSE is that trial's error norm, whatever ``trials`` is.
-    ``pairs`` must be non-empty and share the number of observations; a
+    pair. ``pairs`` must be non-empty and share the number of observations; a
     ``ValueError`` is raised before any draw otherwise, naming both counts
     in the second case."""
     if trials < 1:
@@ -314,13 +308,6 @@ def mc_rmse_pairs(
                              f"pair 0 has {counts[0]}, pair {k} has {count}")
     means = [np.sqrt(p_t) * signal for _, signal, _ in models]
     sqrt_pt = math.sqrt(p_t)
-
-    if noiseless:
-        rmses = []
-        for (factor, _, z), mean in zip(models, means):
-            err = factor.solve(mean) / sqrt_pt - z
-            rmses.append(math.sqrt(float(np.vdot(err, err).real)))
-        return rmses
 
     # one row per trial: 2G standard normals in the stacked [Re; Im] order
     # of the real form, scaled in place, then each pair's mean plus noise

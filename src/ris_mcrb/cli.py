@@ -7,7 +7,8 @@ the ``SweepRequest`` field it fills and each sweep subcommand declares its
 kind and runner, so ``_run`` builds every request in one place.
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical failure
-(singular systems, non-convergent quadrature), 4 I/O failure.
+(singular systems, non-convergent quadrature) or an array too large for
+memory, 4 I/O failure.
 
 The CLI sets no BLAS thread count: each sweep runner runs its BLAS work
 single-threaded and restores the caller's counts when it returns, so the
@@ -137,8 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Monte-Carlo estimator RMSE alongside the bounds")
     p.add_argument("--trials", type=int, default=500, metavar="N",
                    help="Monte-Carlo trials per point (default: %(default)s)")
-    p.add_argument("--noiseless", action="store_true",
-                   help="suppress observation noise (deterministic residual)")
     p.set_defaults(kind="mc_rmse", runner=run_mc_rmse)
 
     return parser
@@ -201,6 +200,9 @@ def main(argv=None) -> int:
         return 2
     except ComputationError as exc:
         print(f"ris-mcrb: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # a worker's MemoryError pickles back too
+        print(f"ris-mcrb: out of memory: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"ris-mcrb: I/O error: {exc}", file=sys.stderr)

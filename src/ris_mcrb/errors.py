@@ -3,7 +3,8 @@
 Two families: configuration problems (bad config text, violated scenario
 constraints) and computation failures (geometry that breaks the integrand,
 quadrature that will not settle, singular or near-singular linear systems).
-The CLI maps ConfigError to exit code 2 and ComputationError to exit code 3.
+The CLI maps ConfigError to exit code 2, and ComputationError and
+Python's MemoryError (an array too large to allocate) to exit code 3.
 
 Every argument after the message has a default, so Python's own exception
 pickling (type, args, ``__dict__``) carries a failure raised in a worker

@@ -21,8 +21,8 @@ worker processes (``_parallel_map``). A spacing x size sweep runs one task
 per spacing, every size at it. A power sweep factors its pairs in the
 calling process, since every power reads all of them, then runs one task
 per power of Monte-Carlo trials on workers that inherit the pairs through
-the fork; noiseless trials run inline, and a kind that prints no ``rmse``
-runs none. Every path gives the serial loop's bits.
+the fork; a kind that prints no ``rmse`` runs none. Every path gives the
+serial loop's bits.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class _Kind:
 _POWER_COLUMNS = ("p_t_dbm", "d_over_lambda", "tr_mcrb", "tr_bias", "lb", "crlb")
 SWEEP_KINDS = {
     "lb_vs_power": _Kind(True, ("power_grid", "spacing_grid", "matched"), _POWER_COLUMNS),
-    "mc_rmse": _Kind(True, ("power_grid", "spacing_grid", "trials", "matched", "noiseless"),
+    "mc_rmse": _Kind(True, ("power_grid", "spacing_grid", "trials", "matched"),
                      _POWER_COLUMNS + ("rmse",)),
     "bias_vs_spacing": _Kind(False, ("spacing_grid", "sizes"),
                              ("d_over_lambda", "n1", "n2", "sqrt_tr_bias")),
@@ -91,7 +91,6 @@ class SweepRequest:
     sizes: list[tuple[int, int]] = field(default_factory=list)
     trials: int = 0
     matched: bool = False
-    noiseless: bool = False
 
     def __post_init__(self):
         kind = SWEEP_KINDS.get(self.kind)
@@ -280,15 +279,10 @@ def _sweep(request: SweepRequest, kind: str, model_sink=None) -> SweepResult:
         def trials_at(i):
             p_dbm, p_t, _ = powers[i]
             return mc_rmse_pairs(scenario, pairs, p_t, request.trials,
-                                 noise_seed(scenario.rng_seed, p_dbm),
-                                 noiseless=request.noiseless)
+                                 noise_seed(scenario.rng_seed, p_dbm))
 
-        if "rmse" not in columns:
-            per_power = [[None] * len(pairs)] * len(powers)
-        elif request.noiseless:  # one solve per pair: not worth a fork
-            per_power = [trials_at(i) for i in range(len(powers))]
-        else:
-            per_power = _parallel_map(trials_at, len(powers))
+        per_power = (_parallel_map(trials_at, len(powers)) if "rmse" in columns
+                     else [[None] * len(pairs)] * len(powers))
         rows = [({"p_t_dbm": p_dbm, "d_over_lambda": d},
                  _report(pair, columns, p_t, gamma, rmse))
                 for (p_dbm, p_t, gamma), rmses in zip(powers, per_power)

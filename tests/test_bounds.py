@@ -313,17 +313,25 @@ def scenario():
     return scenario_from_config({})
 
 
-class TestMcRmse:
-    def test_noiseless_mismatched_equals_bias_norm(self, scenario, model_factory):
-        d_est, d_true, x = model_factory(seed=21)
-        got = mc_rmse(scenario, d_est, d_true, x, 1.0, 3, 0, noiseless=True)
-        want = np.sqrt(bias_trace(d_est, d_true, x))
-        assert got == pytest.approx(want, rel=1e-12)
+def noiseless_error(d_est, d_true, x, p_t=4.0):
+    """||estimate - x|| of the least-squares estimator on noise-free
+    observations: the zero-noise limit of the Monte-Carlo RMSE."""
+    r = math.sqrt(p_t) * (as_model_matrix(d_true) @ x)
+    return float(np.linalg.norm(ml_estimate(d_est, r, p_t) - x))
 
-    def test_noiseless_matched_is_zero(self, scenario, model_factory):
+
+class TestMcRmse:
+    def test_noiseless_mismatched_equals_bias_norm(self, model_factory):
+        # without noise the estimate is the pseudo-true parameter, so the
+        # error is the bias norm that every mc_rmse row prints
+        d_est, d_true, x = model_factory(seed=21)
+        want = math.sqrt(bias_trace(d_est, d_true, x))
+        assert noiseless_error(d_est, d_true, x) == pytest.approx(want, rel=1e-12)
+
+    def test_noiseless_matched_is_zero(self, model_factory):
         _, d_true, x = model_factory(seed=22)
-        got = mc_rmse(scenario, d_true, d_true, x, 1.0, 2, 0, noiseless=True)
-        assert got < 1e-13 * np.linalg.norm(x)
+        assert bias_trace(d_true, d_true, x) == 0.0
+        assert noiseless_error(d_true, d_true, x) < 1e-13 * np.linalg.norm(x)
 
     def test_matched_efficiency(self, scenario, model_factory):
         # least squares is efficient in this linear-Gaussian model, so the
@@ -363,55 +371,23 @@ class TestMcRmse:
             bounds.mc_rmse_pairs(scenario, [bounds.FactoredPair(d_est, d_true, x)],
                                  p_t, 3, 0)
 
-    @pytest.mark.parametrize("noiseless", [False, True])
-    def test_pairs_equal_separate_calls(self, scenario, model_factory, noiseless):
+    def test_pairs_equal_separate_calls(self, scenario, model_factory):
         # shared noise draws must not couple the pairs' results
         models = [model_factory(seed=s) for s in (30, 31, 32)]
         models[1] = (models[1][1],) + models[1][1:]  # a matched pair
         pairs = [bounds.FactoredPair(*m) for m in models]
         seq = np.random.SeedSequence(3, spawn_key=(1, 5))
-        got = bounds.mc_rmse_pairs(scenario, pairs, 2.0, 7, seq,
-                                   noiseless=noiseless)
-        want = [mc_rmse(scenario, *m, 2.0, 7, seq, noiseless=noiseless)
-                for m in models]
+        got = bounds.mc_rmse_pairs(scenario, pairs, 2.0, 7, seq)
+        want = [mc_rmse(scenario, *m, 2.0, 7, seq) for m in models]
         assert got == want
 
-    @pytest.mark.parametrize("noiseless", [False, True])
-    def test_rejects_empty_pairs(self, scenario, monkeypatch, noiseless):
+    def test_rejects_empty_pairs(self, scenario, monkeypatch):
         def no_streams(seq, trials):
             raise AssertionError("noise drawn before the pairs were checked")
 
         monkeypatch.setattr(bounds, "trial_generators", no_streams)
         with pytest.raises(ValueError, match="pairs must not be empty"):
-            bounds.mc_rmse_pairs(scenario, [], 1.0, 3, 0, noiseless=noiseless)
-
-    def test_noiseless_solves_once(self, scenario, model_factory, monkeypatch):
-        solves = []
-        real = bounds._LsqFactor.solve
-
-        def counting(self, rhs):
-            solves.append(rhs)
-            return real(self, rhs)
-
-        monkeypatch.setattr(bounds._LsqFactor, "solve", counting)
-        mc_rmse(scenario, *model_factory(seed=37), 1.0, 9, 0, noiseless=True)
-        assert len(solves) == 1
-
-    def test_noiseless_builds_no_streams(self, scenario, model_factory, monkeypatch):
-        made = []
-        real = bounds.trial_generators
-
-        def counting(seq, trials):
-            for rng in real(seq, trials):
-                made.append(rng)
-                yield rng
-
-        monkeypatch.setattr(bounds, "trial_generators", counting)
-        d_est, d_true, x = model_factory(seed=34)
-        mc_rmse(scenario, d_est, d_true, x, 1.0, 4, 0, noiseless=True)
-        assert made == []
-        mc_rmse(scenario, d_est, d_true, x, 1.0, 4, 0)
-        assert len(made) == 4
+            bounds.mc_rmse_pairs(scenario, [], 1.0, 3, 0)
 
     def test_pairs_must_share_observations(self, scenario, model_factory,
                                             monkeypatch):
@@ -458,7 +434,7 @@ class TestMcRmse:
             assert abs(got - bound) <= 0.10 * bound
 
 
-def per_trial_oracle(sigma2, b_est, b_true, z, p_t, trials, seq, noiseless):
+def per_trial_oracle(sigma2, b_est, b_true, z, p_t, trials, seq):
     """Monte-Carlo RMSE one trial at a time in plain numpy: trial t's noise
     is [Re; Im] of 2G standard normals from numpy's own generator of the
     t-th child of ``seq``, and the estimate is ``lstsq`` on B_est."""
@@ -466,10 +442,9 @@ def per_trial_oracle(sigma2, b_est, b_true, z, p_t, trials, seq, noiseless):
     total = 0.0
     for t in range(trials):
         r = math.sqrt(p_t) * (b_true @ z)
-        if not noiseless:
-            child = np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (t,))
-            draws = np.random.default_rng(child).standard_normal(2 * g)
-            r = r + math.sqrt(sigma2 / 2.0) * (draws[:g] + 1j * draws[g:])
+        child = np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (t,))
+        draws = np.random.default_rng(child).standard_normal(2 * g)
+        r = r + math.sqrt(sigma2 / 2.0) * (draws[:g] + 1j * draws[g:])
         err = np.linalg.lstsq(b_est, r, rcond=None)[0] / math.sqrt(p_t) - z
         total += float(np.vdot(err, err).real)
     return math.sqrt(total / trials)
@@ -493,31 +468,25 @@ class TestTrialBlocks:
             out.append((b_est, b_true, crandn(rng, 4)))
         return out
 
-    @pytest.mark.parametrize("noiseless", [False, True])
     @pytest.mark.parametrize("trials", BLOCK_EDGE_TRIALS)
-    def test_pairs_equal_separate_calls(self, scenario, models, trials, noiseless):
+    def test_pairs_equal_separate_calls(self, scenario, models, trials):
         seq = np.random.SeedSequence(8, spawn_key=(1, 3))
         p_t = 4.0 * scenario.noise.sigma2
         got = bounds.mc_rmse_pairs(scenario, [bounds.FactoredPair(*m) for m in models],
-                                   p_t, trials, seq, noiseless=noiseless)
-        want = [mc_rmse(scenario, *m, p_t, trials, seq, noiseless=noiseless)
-                for m in models]
+                                   p_t, trials, seq)
+        want = [mc_rmse(scenario, *m, p_t, trials, seq) for m in models]
         assert got == want
 
-    @pytest.mark.parametrize("noiseless", [False, True])
     @pytest.mark.parametrize("trials", BLOCK_EDGE_TRIALS)
-    def test_per_trial_oracle(self, scenario, models, trials, noiseless):
+    def test_per_trial_oracle(self, scenario, models, trials):
         seq = np.random.SeedSequence(9, spawn_key=(2, 4))
         p_t = 4.0 * scenario.noise.sigma2
         got = bounds.mc_rmse_pairs(scenario, [bounds.FactoredPair(*m) for m in models],
-                                   p_t, trials, seq, noiseless=noiseless)
+                                   p_t, trials, seq)
         for rmse, (b_est, b_true, z) in zip(got, models):
             want = per_trial_oracle(scenario.noise.sigma2, b_est, b_true, z, p_t,
-                                    trials, seq, noiseless)
-            # a noiseless matched pair's error is rounding alone, so the
-            # scale of that comparison is ||z||
-            assert rmse == pytest.approx(want, rel=1e-12,
-                                         abs=1e-12 * np.linalg.norm(z))
+                                    trials, seq)
+            assert rmse == pytest.approx(want, rel=1e-12)
 
 
 def error_moments(b_est, b_true, z, sigma2, p_t):

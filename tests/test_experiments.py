@@ -6,6 +6,8 @@ import io
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
 import threading
 import time
 import weakref
@@ -119,12 +121,9 @@ class TestSweepRequest:
         (dict(kind="bias_vs_spacing", sizes=[(4, 4), (0, 4)]), "0x4"),
         (dict(kind="crlb_vs_spacing", power_grid=[40.0], sizes=[(2, -1)]), "2x-1"),
         (dict(kind="mc_rmse", power_grid=[0.0], trials=2**32), "2\\*\\*32"),
-        (dict(kind="mc_rmse", power_grid=[0.0], trials=2**32, noiseless=True),
-         "2\\*\\*32"),
         (dict(kind="crlb_vs_spacing", power_grid=[0.0, 40.0], sizes=[(2, 2)]),
          "one transmit power"),
-    ], ids=["empty-size", "negative-size", "mc-trials", "noiseless-trials",
-            "crlb-two-powers"])
+    ], ids=["empty-size", "negative-size", "mc-trials", "crlb-two-powers"])
     def test_rejects_request_before_any_point(self, small_scenario, fields, match):
         with pytest.raises(ValueError, match=match):
             SweepRequest(scenario=small_scenario, spacing_grid=[0.5], **fields)
@@ -138,10 +137,9 @@ class TestSweepRequest:
          "trials"),
         (dict(kind="lb_vs_power", power_grid=[0.0], sizes=[(8, 8)]), "sizes"),
         (dict(kind="lb_vs_power", power_grid=[0.0], trials=3), "trials"),
-        (dict(kind="lb_vs_power", power_grid=[0.0], noiseless=True), "noiseless"),
         (dict(kind="mc_rmse", power_grid=[0.0], trials=2, sizes=[(4, 4)]), "sizes"),
     ], ids=["bias-matched", "bias-power", "crlb-matched", "crlb-trials", "lb-sizes",
-            "lb-trials", "lb-noiseless", "mc-sizes"])
+            "lb-trials", "mc-sizes"])
     def test_rejects_fields_its_kind_never_reads(self, small_scenario, fields, unread):
         # such a field would silently change the rows (a matched bias floor
         # is zero) or be ignored (a power sweep runs at the scenario's size,
@@ -152,7 +150,7 @@ class TestSweepRequest:
     def test_unread_fields_may_keep_their_defaults(self, small_scenario):
         request = SweepRequest(kind="bias_vs_spacing", scenario=small_scenario,
                                power_grid=[], spacing_grid=[0.5], sizes=[(2, 2)],
-                               trials=0, matched=False, noiseless=False)
+                               trials=0, matched=False)
         assert request.sizes == [(2, 2)]
 
     def test_rejects_powers_that_share_a_noise_stream(self, small_scenario):
@@ -350,25 +348,14 @@ class TestSpacingSweeps:
 
 
 class TestMcRmseSweep:
-    def test_single_noiseless_trial_equals_bias_norm(self, small_scenario):
+    def test_bias_norm_pinned(self, small_scenario):
+        # sqrt(tr_bias) is the zero-noise error of the row's estimator
+        # (test_bounds' noiseless tests); pinned at the 1e-12 output contract
         request = SweepRequest(kind="mc_rmse", scenario=small_scenario,
-                               power_grid=[30.0], spacing_grid=[0.1],
-                               trials=1, noiseless=True)
+                               power_grid=[30.0], spacing_grid=[0.1], trials=1)
         ((_, report),) = run_mc_rmse(request).rows
-        assert report.rmse == pytest.approx(np.sqrt(report.tr_bias), rel=1e-12)
-
-    @pytest.mark.parametrize("trials", [1, 2000, 2**31])
-    def test_noiseless_row_is_bias_norm_at_any_trial_count(self, small_scenario,
-                                                           trials):
-        # every noiseless trial is the same trial, so the count costs
-        # nothing: 2**31 repeated additions would take minutes
-        request = SweepRequest(kind="mc_rmse", scenario=small_scenario,
-                               power_grid=[30.0], spacing_grid=[0.1],
-                               trials=trials, noiseless=True)
-        started = time.perf_counter()
-        ((_, report),) = run_mc_rmse(request).rows
-        assert time.perf_counter() - started < 5.0
-        assert report.rmse == pytest.approx(np.sqrt(report.tr_bias), rel=1e-13)
+        assert np.sqrt(report.tr_bias) == pytest.approx(1.4247475973629437e-06,
+                                                        rel=1e-12)
 
     def test_grid_point_independence(self, small_scenario):
         full = SweepRequest(kind="mc_rmse", scenario=small_scenario,
@@ -519,24 +506,6 @@ class TestPowerSweepSharing:
         assert len(run_mc_rmse(request).rows) == 12
         assert 0 < len(qrs) <= (1 if matched else 2) * len(self.SPACINGS)
         assert len(streams) == 3 * len(self.POWERS)
-
-    def test_noiseless_builds_no_streams(self, small_scenario, monkeypatch):
-        inline_sweeps(monkeypatch)
-        streams = counting_wrapper(monkeypatch, bounds, "trial_generators")
-        request = power_request(small_scenario, run_mc_rmse, power_grid=[30.0],
-                                spacing_grid=[0.1, 0.5], trials=3,
-                                noiseless=True)
-        rows = run_mc_rmse(request).rows
-        assert streams == []
-        # the row is the separate noiseless mc_rmse on the same built model;
-        # the 0.5-lambda value is roundoff-sized, so only 0.1 is checked
-        d_true, d_est, x_true = build_pair(small_scenario, 0.1)
-        want = mc_rmse(small_scenario, d_est, d_true, x_true, dbm_to_watts(30.0),
-                       3, noise_seed(small_scenario.rng_seed, 30.0), noiseless=True)
-        assert rows[0][1].rmse == want
-        # and the value the sweep printed before noiseless trials skipped
-        # their streams, at the 1e-12 output contract
-        assert want == pytest.approx(1.4247475973629437e-06, rel=1e-12)
 
 
 def spoiled_builder(monkeypatch, index):
@@ -773,15 +742,12 @@ class TestCli:
         header = capsys.readouterr().out.splitlines()[0]
         assert header == "d_over_lambda,n1,n2,crlb"
 
-    def test_mc_rmse_noiseless(self, tmp_path, capsys):
-        cfg = self.write_config(tmp_path)
-        code = main(["mc-rmse", "--config", cfg, "--powers-dbm", "30",
-                     "--spacings-over-lambda", "0.1", "--trials", "1",
-                     "--noiseless"])
-        assert code == 0
-        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-        assert float(rows[0]["rmse"]) == pytest.approx(
-            float(rows[0]["tr_bias"]) ** 0.5, rel=1e-12)
+    def test_mc_rmse_has_no_noiseless_flag(self, capsys):
+        # the zero-noise error is the sqrt(tr_bias) every row prints
+        with pytest.raises(SystemExit) as exit_info:
+            main(["mc-rmse", "--noiseless"])
+        assert exit_info.value.code == 2
+        assert "--noiseless" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, "num_transmissions: 2\n")
@@ -915,8 +881,6 @@ class TestCli:
          None, None),
         (["mc-rmse", "--trials", "4294967296", "--spacings-over-lambda", "0.5"],
          None, None),
-        (["mc-rmse", "--noiseless", "--trials", "4294967296",
-          "--spacings-over-lambda", "0.5"], None, None),
         # 20 elements need more than the config's 16 pilots
         (["bias-vs-spacing", "--sizes", "2x2,5x4"], None,
          "spacing 0.002 lambda, size 5x4: num_transmissions"),
@@ -926,9 +890,9 @@ class TestCli:
          "spacing 2.5 lambda: tx_position_m"),
         (["bias-vs-spacing", "--sizes", "2x2", "--spacings-over-lambda", "0.5,2.5"],
          TX_ABOVE, "spacing 2.5 lambda, size 2x2: tx_position_m"),
-    ], ids=["empty-size", "crlb-empty-size", "mc-trials", "noiseless-trials",
-            "pilots-at-a-size", "tx-inside-at-a-spacing",
-            "power-tx-inside-at-a-spacing", "tx-wire-above-an-element"])
+    ], ids=["empty-size", "crlb-empty-size", "mc-trials", "pilots-at-a-size",
+            "tx-inside-at-a-spacing", "power-tx-inside-at-a-spacing",
+            "tx-wire-above-an-element"])
     def test_bad_request_exits_before_any_point(self, tmp_path, capsys, monkeypatch,
                                                 argv, config, where):
         # inline, so a point built by a spacing sweep would be seen here;
@@ -967,6 +931,40 @@ class TestCli:
                      "--distances-over-lambda", "0.5",
                      "--out", str(missing)]) == 4
         assert "I/O error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spread", [inline_sweeps, pooled_sweeps],
+                             ids=["inline", "pooled"])
+    def test_out_of_memory_exit_code(self, tmp_path, capsys, monkeypatch, spread):
+        # pooled, each spacing's point is built on a worker, whose
+        # MemoryError comes back through the pool
+        def no_memory(scenario):
+            raise MemoryError("Unable to allocate 119. GiB")
+
+        spread(monkeypatch)
+        monkeypatch.setattr(experiments, "sample_loads", no_memory)
+        cfg = self.write_config(tmp_path)
+        assert main(["bias-vs-spacing", "--config", cfg, "--sizes", "2x2",
+                     "--spacings-over-lambda", "0.2,0.5"]) == 3
+        assert capsys.readouterr().err == (
+            "ris-mcrb: out of memory: Unable to allocate 119. GiB\n")
+
+    def test_load_draw_too_large_for_memory_exits_3(self, tmp_path):
+        # 10**9 pilots' loads take 119 GiB; an address-space limit set in
+        # the child alone makes that allocation fail at once on any host
+        cfg = self.write_config(tmp_path, "num_transmissions: 1000000000\n")
+        code = ("import resource, sys\n"
+                "from ris_mcrb.cli import main\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (4 * 10**9, 4 * 10**9))\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "lb-vs-power", "--config", cfg,
+             "--powers-dbm", "0", "--spacings-over-lambda", "0.5"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("ris-mcrb: out of memory: Unable to allocate")
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("argv", [
         ["impedance-sweep", "--distances-over-lambda", "0.5"],
@@ -1058,7 +1056,7 @@ class TestCliRequests:
         assert main([command]) == 0
         [(request, kwargs)] = record
         assert kwargs == {}
-        want = dict(want, matched=False, noiseless=False)
+        want = dict(want, matched=False)
         assert {name: getattr(request, name) for name in want} == want
         assert request.scenario.config == scenario_from_config({}).config
         capsys.readouterr()
@@ -1068,9 +1066,8 @@ class TestCliRequests:
           "--matched"],
          dict(power_grid=[-10.0, 5.0], spacing_grid=[0.3], matched=True)),
         (["mc-rmse", "--powers-dbm", "20", "--spacings-over-lambda", "0.1,0.4",
-          "--trials", "3", "--matched", "--noiseless"],
-         dict(power_grid=[20.0], spacing_grid=[0.1, 0.4], trials=3, matched=True,
-              noiseless=True)),
+          "--trials", "3", "--matched"],
+         dict(power_grid=[20.0], spacing_grid=[0.1, 0.4], trials=3, matched=True)),
         (["bias-vs-spacing", "--spacings-over-lambda", "0.2,0.5", "--sizes", "2x2,3x2"],
          dict(spacing_grid=[0.2, 0.5], sizes=[(2, 2), (3, 2)])),
         (["crlb-vs-spacing", "--power-dbm", "-4e1", "--spacings-over-lambda", "0.5",
@@ -1157,8 +1154,6 @@ class TestParallelSweeps:
             (run_lb_vs_power, SweepRequest(kind="lb_vs_power", **power)),
             (run_mc_rmse, SweepRequest(kind="mc_rmse", trials=4, **power)),
             (run_mc_rmse, SweepRequest(kind="mc_rmse", trials=4, matched=True,
-                                       **power)),
-            (run_mc_rmse, SweepRequest(kind="mc_rmse", trials=2, noiseless=True,
                                        **power)),
             (run_bias_vs_spacing, SweepRequest(kind="bias_vs_spacing", **spacing)),
             (run_crlb_vs_spacing, SweepRequest(kind="crlb_vs_spacing",
@@ -1404,20 +1399,15 @@ class TestPooledPowerSweeps:
             assert multiprocessing.active_children() == []
         assert raised[1] == raised[0] == ("estimation model: rank deficient", 2e-17)
 
-    @pytest.mark.parametrize("runner,kwargs", [
-        (run_mc_rmse, {"trials": 3, "noiseless": True}),
-        (run_lb_vs_power, {}),
-    ], ids=["noiseless", "no-trials"])
-    def test_inline_power_paths_fork_no_pool(self, small_scenario, monkeypatch,
-                                             runner, kwargs):
+    def test_lb_vs_power_forks_no_pool(self, small_scenario, monkeypatch):
         def refuse(task, n):
             raise AssertionError("a pool was started")
 
         monkeypatch.setattr(experiments, "_parallel_map", refuse)
         pooled_sweeps(monkeypatch)
-        request = power_request(small_scenario, runner, power_grid=self.POWERS,
-                                spacing_grid=[0.05, 0.5], **kwargs)
-        assert len(runner(request).rows) == 2 * len(self.POWERS)
+        request = power_request(small_scenario, run_lb_vs_power,
+                                power_grid=self.POWERS, spacing_grid=[0.05, 0.5])
+        assert len(run_lb_vs_power(request).rows) == 2 * len(self.POWERS)
 
 
 class FakeBlas:
