@@ -20,7 +20,6 @@ from .bounds import (
 )
 from .channel import (
     RealifiedModel,
-    RisLoadSequence,
     build_B,
     complexify_vec,
     model_pair,

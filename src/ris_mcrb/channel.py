@@ -183,30 +183,9 @@ def trial_generators(seq: np.random.SeedSequence, trials: int):
     return streams()
 
 
-@dataclass(frozen=True)
-class RisLoadSequence:
-    """One tunable complex load per element per transmission.
-
-    Loads are R + j*omega*L with positive inductance, hence strictly
-    inductive (positive imaginary part).
-    """
-
-    loads: np.ndarray  # (G, N) complex ohm
-
-    def __post_init__(self):
-        # freeze a copy so later writes to the caller's array cannot reach it
-        arr = np.array(self.loads, dtype=complex)
-        if arr.ndim != 2:
-            raise ValueError("loads must be a (G, N) array")
-        if np.any(arr.imag <= 0.0):
-            raise ValueError("loads must be inductive (positive imaginary part)")
-        arr.flags.writeable = False
-        object.__setattr__(self, "loads", arr)
-
-
-def sample_loads(scenario: Scenario) -> RisLoadSequence:
-    """Draw the G x N tunable loads, i.i.d. uniform in the scenario's
-    resistance and inductance boxes.
+def sample_loads(scenario: Scenario) -> np.ndarray:
+    """Draw the G x N complex loads R + j*omega*L as a fresh read-only
+    array, i.i.d. uniform in the scenario's resistance and inductance boxes.
 
     The draws come from the dedicated load substream of the scenario seed,
     and only from it, so the sampled configurations do not depend on how
@@ -222,7 +201,8 @@ def sample_loads(scenario: Scenario) -> RisLoadSequence:
     resistance = rng.uniform(r_min, r_max, shape)
     inductance = rng.uniform(l_min, l_max, shape)
     loads = resistance + 1j * scenario.constants.omega * inductance
-    return RisLoadSequence(loads=loads)
+    loads.flags.writeable = False
+    return loads
 
 
 def _singular(context: str, rcond) -> SingularModelError:
@@ -407,7 +387,7 @@ def _run_chunks(run, count: int) -> None:
         raise failures[min(failures)]
 
 
-def build_B(z_rs, z_ss_self, z_ss_mutual, load_seq) -> np.ndarray:
+def build_B(z_rs, z_ss_self, z_ss_mutual, loads) -> np.ndarray:
     """Stack the per-configuration row vectors into the G x N model matrix.
 
     Row g is ``z_rs^T (D_g + M)^{-1}``, where ``D_g = diag(z_ss_self +
@@ -439,7 +419,7 @@ def build_B(z_rs, z_ss_self, z_ss_mutual, load_seq) -> np.ndarray:
     """
     z_rs = np.asarray(z_rs, dtype=complex)
     n = z_rs.shape[0]
-    loads = load_seq.loads if isinstance(load_seq, RisLoadSequence) else np.asarray(load_seq)
+    loads = np.asarray(loads)
     if loads.ndim != 2 or loads.shape[1] != n:
         raise ValueError(f"loads must be (G, {n}), got {loads.shape}")
 
@@ -569,10 +549,10 @@ def _complex_form(a) -> np.ndarray:
     return RealifiedModel(d, includes_mutual_coupling=False).complex_model
 
 
-def model_pair(impedances: ImpedanceSet, load_seq) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def model_pair(impedances: ImpedanceSet, loads) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Build the coupling-aware and coupling-unaware G x N model matrices
-    plus the true channel vector ``z_st`` for one impedance set."""
+    for the (G, N) loads plus the true channel vector ``z_st``."""
     b_true = build_B(impedances.z_rs, impedances.z_ss_self,
-                     impedances.z_ss_mutual, load_seq)
-    b_est = build_B(impedances.z_rs, impedances.z_ss_self, None, load_seq)
+                     impedances.z_ss_mutual, loads)
+    b_est = build_B(impedances.z_rs, impedances.z_ss_self, None, loads)
     return b_true, b_est, impedances.z_st

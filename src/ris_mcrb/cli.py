@@ -8,7 +8,7 @@ kind and runner, so ``_run`` builds every request in one place.
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical failure
 (singular systems, non-convergent quadrature) or an array too large for
-memory, 4 I/O failure.
+memory, 4 I/O failure (an unusable ``--out`` before the sweep runs).
 
 The CLI sets no BLAS thread count: each sweep runner runs its BLAS work
 single-threaded and restores the caller's counts when it returns, so the
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import os
 import re
 import sys
@@ -172,6 +173,17 @@ def _model_sink(directory):
     return sink
 
 
+def _check_out(path):
+    """Raise the OSError that writing ``path`` would raise if it is a
+    directory or its parent is missing or not one, before the sweep runs."""
+    if os.path.isdir(path):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    try:  # the trailing separator makes a non-directory parent fail
+        os.stat(os.path.join(os.path.dirname(path) or ".", ""))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+
+
 def _run(args):
     scenario = load_scenario_file(args.config) if args.config else default_scenario()
     if args.seed is not None:
@@ -190,6 +202,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(_fold_negative_lists(argv))
     try:
+        if args.out:
+            _check_out(args.out)
         result = _run(args)
         if args.out:
             emit_csv(result, args.out)

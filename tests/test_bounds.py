@@ -192,7 +192,7 @@ class TestBiasTrace:
                                    "ris_spacing_over_lambda": spacing})
         imp = build_impedance_set(sc.tx, sc.rx, sc.ris_radiators(), sc.constants)
         loads = sample_loads(sc)
-        d = imp.z_ss_self + loads.loads
+        d = imp.z_ss_self + loads
         m = imp.z_ss_mutual
         rho = max(np.linalg.norm(m / np.sqrt(np.outer(np.abs(dg), np.abs(dg))), 2)
                   for dg in d)

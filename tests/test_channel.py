@@ -18,7 +18,6 @@ from ris_mcrb.channel import (
     CONTRACTION_LIMIT,
     RCOND_FLOOR,
     RealifiedModel,
-    RisLoadSequence,
     build_B,
     complexify_vec,
     model_pair,
@@ -49,16 +48,15 @@ class TestSampleLoads:
             "load_r_min_ohm": 3.0, "load_r_max_ohm": 3.0,
             "load_l_min_nh": 2.0, "load_l_max_nh": 2.0,
         })
-        seq = sample_loads(sc)
         want = 3.0 + 1j * sc.constants.omega * 2.0e-9
-        assert np.allclose(seq.loads, want, rtol=1e-12)
+        assert np.allclose(sample_loads(sc), want, rtol=1e-12)
 
     def test_samples_inside_box_and_uniform(self):
         # 640 transmissions x 16 elements -> 10240 samples per component
         sc = scenario_from_config({"num_transmissions": 640})
-        seq = sample_loads(sc)
-        resistance = seq.loads.real
-        inductance_nh = seq.loads.imag / sc.constants.omega * 1e9
+        loads = sample_loads(sc)
+        resistance = loads.real
+        inductance_nh = loads.imag / sc.constants.omega * 1e9
         assert resistance.min() >= 0.1 and resistance.max() <= 10.1
         assert inductance_nh.min() >= 0.1 and inductance_nh.max() <= 10.1
         for samples in (resistance.ravel(), inductance_nh.ravel()):
@@ -68,14 +66,14 @@ class TestSampleLoads:
 
     def test_same_seed_bit_identical(self):
         sc = scenario_from_config({})
-        assert np.array_equal(sample_loads(sc).loads, sample_loads(sc).loads)
+        assert np.array_equal(sample_loads(sc), sample_loads(sc))
 
     def test_independent_of_other_streams(self):
         sc = scenario_from_config({})
-        a = sample_loads(sc).loads
+        a = sample_loads(sc)
         # drawing noise elsewhere must not disturb the load substream
         substream(sc.rng_seed, 1, 12345).standard_normal(10_000)
-        assert np.array_equal(a, sample_loads(sc).loads)
+        assert np.array_equal(a, sample_loads(sc))
 
     def test_empty_range_rejected(self):
         sc = scenario_from_config({})
@@ -85,7 +83,22 @@ class TestSampleLoads:
 
     def test_loads_strictly_inductive(self):
         sc = scenario_from_config({})
-        assert np.all(sample_loads(sc).loads.imag > 0.0)
+        assert np.all(sample_loads(sc).imag > 0.0)
+
+    def test_result_is_read_only(self):
+        sc = scenario_from_config({})
+        loads = sample_loads(sc)
+        assert loads.shape == (sc.num_transmissions, sc.ris.num_elements)
+        assert loads.dtype == complex
+        assert not loads.flags.writeable
+        with pytest.raises(ValueError):
+            loads[0, 0] = -5j
+
+    def test_calls_return_equal_distinct_arrays(self):
+        sc = scenario_from_config({})
+        a, b = sample_loads(sc), sample_loads(sc)
+        assert np.array_equal(a, b)
+        assert not np.shares_memory(a, b)
 
 
 def assert_numpy_children(seq, trials):
@@ -202,6 +215,13 @@ class TestBuildB:
             z = np.diag(z_self) + z_mut + np.diag(loads[row])
             want = z_rs @ np.linalg.inv(z)
             assert np.allclose(b[row], want, rtol=1e-10)
+
+    @pytest.mark.parametrize("mutual", [None, np.zeros((2, 2))], ids=["unaware", "aware"])
+    @pytest.mark.parametrize("shape", [(2,), (3, 3)], ids=["vector", "n-plus-one"])
+    def test_loads_must_be_g_by_n(self, mutual, shape):
+        # the one check that loads get: a (G, N) array for N elements
+        with pytest.raises(ValueError, match=r"^loads must be \(G, 2\)"):
+            build_B(np.ones(2), np.ones(2), mutual, np.full(shape, 1.0 + 1.0j))
 
     def test_singular_system_reports_condition(self):
         z_self = np.ones(2, dtype=complex)
@@ -432,7 +452,7 @@ class TestBuildBPaths:
 
     def test_aware_scenario_rows_bit_identical_to_lu_wrappers(self, point_002):
         imp = point_002.impedances
-        loads = point_002.loads.loads[:8]
+        loads = point_002.loads[:8]
         b = build_B(imp.z_rs, imp.z_ss_self, imp.z_ss_mutual, loads)
         want = lu_rows(imp.z_rs, imp.z_ss_self, imp.z_ss_mutual, loads)
         assert np.array_equal(b, want)
@@ -626,22 +646,6 @@ class TestBuildBHelpers:
 
 
 class TestFrozenFields:
-    def test_load_sequence_leaves_caller_array_writeable(self):
-        loads = np.full((2, 3), 1.0 + 1.0j)
-        seq = RisLoadSequence(loads=loads)
-        assert loads.flags.writeable
-        assert not seq.loads.flags.writeable
-        with pytest.raises(ValueError):
-            seq.loads[0, 0] = 2.0j
-
-    def test_load_sequence_holds_a_copy(self):
-        # a later write to the caller's array must not get past the
-        # inductive-load check
-        loads = np.full((2, 3), 1.0 + 1.0j)
-        seq = RisLoadSequence(loads=loads)
-        loads[0, 0] = -5j
-        assert seq.loads[0, 0] == 1.0 + 1.0j
-
     def test_realified_model_leaves_caller_array_writeable(self):
         matrix = np.array([[1.0, -2.0], [2.0, 1.0]])
         model = RealifiedModel(matrix=matrix, includes_mutual_coupling=False)

@@ -2,6 +2,7 @@ import argparse
 import csv
 import ctypes
 import dataclasses
+import errno
 import io
 import multiprocessing
 import os
@@ -865,6 +866,21 @@ class TestCli:
         assert [get() for get, _ in blas_runtimes] == [3] * len(blas_runtimes)
         capsys.readouterr()
 
+    @staticmethod
+    def refuse_points(monkeypatch):
+        """Fail at the first grid point built; return the list of those."""
+        # inline, so a point built by a spacing sweep would be seen here;
+        # a built point fails the test at once rather than running its trials
+        inline_sweeps(monkeypatch)
+        built = []
+
+        def refuse(*args):
+            built.append(args)
+            raise AssertionError("a grid point was built")
+
+        monkeypatch.setattr(experiments, "_build_point", refuse)
+        return built
+
     # Tx inside the 2x2 grid's box at 2.5 lambda spacing, outside it at 0.5
     TX_NEAR = CONFIG + "tx_position_m: [0.005, 0.005, 0.0]\n"
     # Tx 1.5 h above the corner element of the 2x2 grid at 2.5 lambda
@@ -895,20 +911,29 @@ class TestCli:
             "tx-wire-above-an-element"])
     def test_bad_request_exits_before_any_point(self, tmp_path, capsys, monkeypatch,
                                                 argv, config, where):
-        # inline, so a point built by a spacing sweep would be seen here;
-        # a built point fails the test at once rather than running its trials
-        inline_sweeps(monkeypatch)
-        built = []
-
-        def refuse(*args):
-            built.append(args)
-            raise AssertionError("a grid point was built")
-
-        monkeypatch.setattr(experiments, "_build_point", refuse)
+        built = self.refuse_points(monkeypatch)
         cfg = self.write_config(tmp_path, config)
         assert main(argv + ["--config", cfg, "--out", os.devnull]) == 2
         assert built == []
         assert f"config error: {where or ''}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bias-vs-spacing", "--sizes", "2x2", "--spacings-over-lambda", "0.5"],
+        ["mc-rmse", "--trials", "2", "--spacings-over-lambda", "0.5"],
+    ], ids=["spacing", "power"])
+    @pytest.mark.parametrize("out,code", [
+        ("missing/x.csv", errno.ENOENT),
+        ("", errno.EISDIR),  # the temporary directory itself
+    ], ids=["missing-parent", "directory"])
+    def test_bad_out_exits_before_any_point(self, tmp_path, capsys, monkeypatch,
+                                            argv, out, code):
+        built = self.refuse_points(monkeypatch)
+        cfg = self.write_config(tmp_path)
+        path = os.path.join(tmp_path, out)
+        assert main(argv + ["--config", cfg, "--out", path]) == 4
+        assert built == []
+        assert capsys.readouterr().err == (
+            f"ris-mcrb: I/O error: [Errno {code}] {os.strerror(code)}: {path!r}\n")
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         # half-wavelength dipoles put the current normalization at resonance
