@@ -18,12 +18,7 @@ it well conditioned, for a chunk of configurations per matrix product, and
 otherwise through an LAPACK LU factorization with a 1-norm reciprocal
 condition estimate. Every guard rejects a configuration below
 ``RCOND_FLOOR``; nothing in production paths forms an explicit inverse.
-In a sweep worker, the chunks of a coupling-aware ``build_B`` also run on
-helper threads, each only while it holds a unit of the sweep's
-``CpuBudget``: scipy's LAPACK wrappers release the GIL, so a helper uses a
-CPU that no worker's task occupies, and a chunk's rows are the same bits
-on any thread. Elsewhere (``cpu_budget`` is None) the chunks run in order
-on the calling thread.
+Sweep workers also run ``build_B``'s chunks on helper threads (``_parallel``).
 RNG streams are derived from a master seed with fixed spawn keys so that
 load sampling and noise generation never share or reorder draws. Trial t
 of a power draws from numpy's ``SeedSequence(entropy, spawn_key + (t,))``
@@ -33,8 +28,6 @@ children's PCG64 states in bulk and reuses one generator per call.
 
 from __future__ import annotations
 
-import contextlib
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +36,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from ._blas import gecon, getrf, getrs
+from ._parallel import run_chunks
 from .errors import DegenerateDesignError, SingularModelError
 from .impedance import ImpedanceSet
 from .scenario import Scenario
@@ -275,118 +269,6 @@ def _jacobi_rows(z_rs, mutual, d, q):
     return y, done
 
 
-class CpuBudget:
-    """The number of threads a sweep's processes run at once, one counter
-    shared by every process forked after it is made.
-
-    A sweep worker counts itself for as long as it runs a task (``hold``) and
-    is counted at once, even past ``units``, so no worker ever waits. A
-    helper thread runs only while it holds a unit taken by ``try_take``,
-    which succeeds while fewer than ``units`` threads run; it gives the unit
-    back (``give``) after each chunk of work, so a worker that starts a task
-    leaves the helpers no unit to go on with.
-    """
-
-    def __init__(self, units: int, context):
-        self.units = units
-        self._running = context.Value("i", 0)
-
-    def _add(self, count: int) -> None:
-        with self._running.get_lock():
-            self._running.value += count
-
-    @contextlib.contextmanager
-    def hold(self):
-        """Count the calling thread while the block runs."""
-        self._add(1)
-        try:
-            yield
-        finally:
-            self._add(-1)
-
-    def try_take(self) -> bool:
-        """Take a unit if fewer than ``units`` threads run."""
-        with self._running.get_lock():
-            if self._running.value >= self.units:
-                return False
-            self._running.value += 1
-            return True
-
-    def give(self) -> None:
-        """Give back a unit taken by ``try_take``."""
-        self._add(-1)
-
-
-# The CpuBudget of the sweep this process works for, set in each sweep
-# worker; None elsewhere, and then build_B runs every chunk on the calling
-# thread, in order.
-cpu_budget: CpuBudget | None = None
-
-
-def _run_chunks(run, count: int) -> None:
-    """``run(k)`` for every chunk ``k < count``, claimed in increasing order.
-
-    The calling thread runs chunks until none is left. Before each of its
-    chunks, if another chunk is unclaimed, it starts a helper thread if
-    ``cpu_budget`` has a free unit; a helper runs chunks on that unit,
-    gives it back after each one and goes on only if it can take one
-    again. Without a budget no helper starts.
-    Every chunk's result is its own, so the threads that ran them do not
-    change a bit. After a failure no later chunk is claimed; once every
-    helper has stopped, the failure of the earliest chunk is raised, the
-    one the serial loop would have raised.
-    """
-    budget = cpu_budget
-    lock = threading.Lock()
-    claimed, end = 0, count
-    failures = {}
-
-    def claim():
-        nonlocal claimed
-        with lock:
-            if claimed >= end:
-                return None
-            claimed += 1
-            return claimed - 1
-
-    def attempt(k):
-        nonlocal end
-        try:
-            run(k)
-        except BaseException as exc:  # raised by the calling thread below
-            with lock:
-                failures[k] = exc
-                end = min(end, k)
-
-    def helper():
-        while (k := claim()) is not None:
-            attempt(k)
-            budget.give()
-            if not budget.try_take():
-                return
-        budget.give()
-
-    helpers = []
-    try:
-        while (k := claim()) is not None:
-            if budget is not None and claimed < end and budget.try_take():
-                thread = threading.Thread(target=helper, name="build_B helper")
-                try:
-                    thread.start()
-                except BaseException:
-                    budget.give()
-                    raise
-                helpers.append(thread)
-            attempt(k)
-    finally:
-        with lock:
-            end = 0
-        for thread in helpers:
-            thread.join()
-    if failures:
-        raise failures[min(failures)]
-
-
 def build_B(z_rs, z_ss_self, z_ss_mutual, loads) -> np.ndarray:
     """Stack the per-configuration row vectors into the G x N model matrix.
 
@@ -411,11 +293,10 @@ def build_B(z_rs, z_ss_self, z_ss_mutual, loads) -> np.ndarray:
     ``RCOND_FLOOR`` or not finite; where several are, it names the
     earliest, as a serial loop would.
 
-    The ``JACOBI_CHUNK``-row chunks run on the calling thread, and also on
-    helper threads while ``cpu_budget`` has free units (``_run_chunks``).
-    A chunk's rows depend only on that chunk, since the stopping rule is
-    per chunk and each LU is per row, so they are the same bits whichever
-    thread runs it.
+    The ``JACOBI_CHUNK``-row chunks run through ``_parallel.run_chunks``,
+    also on helper threads in a sweep worker. A chunk's rows depend only on
+    that chunk, since the stopping rule is per chunk and each LU is per row,
+    so they are the same bits whichever thread runs it.
     """
     z_rs = np.asarray(z_rs, dtype=complex)
     n = z_rs.shape[0]
@@ -467,7 +348,7 @@ def build_B(z_rs, z_ss_self, z_ss_mutual, loads) -> np.ndarray:
             lu, piv = _factor(z, anorm, f"configuration {g}")
             b[g], _ = getrs(lu, piv, z_rs)
 
-    _run_chunks(solve_chunk, -(-loads.shape[0] // JACOBI_CHUNK))
+    run_chunks(solve_chunk, -(-loads.shape[0] // JACOBI_CHUNK))
     return b
 
 

@@ -162,9 +162,9 @@ def _fold_negative_lists(argv):
 
 
 def _model_sink(directory):
-    os.makedirs(directory, exist_ok=True)
-
     def sink(d_over_lambda, n1, n2, d_true, d_est):
+        # made at the first write, so a request that fails first leaves none
+        os.makedirs(directory, exist_ok=True)
         # round-trip exact, like the CSV, so distinct spacings never collide
         tag = f"d{float(d_over_lambda)!r}_{n1}x{n2}"
         dump_model_csv(d_true, os.path.join(directory, f"b_true_{tag}.csv"))
@@ -194,7 +194,9 @@ def _run(args):
               for f in dataclasses.fields(SweepRequest) if f.name in args}
     request = SweepRequest(scenario=scenario, **fields)
     if getattr(args, "dump_model", None):
-        return args.runner(request, model_sink=_model_sink(args.dump_model))
+        result = args.runner(request, model_sink=_model_sink(args.dump_model))
+        os.makedirs(args.dump_model, exist_ok=True)  # also if no point was dumped
+        return result
     return args.runner(request)
 
 

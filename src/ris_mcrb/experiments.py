@@ -17,7 +17,7 @@ power's trials draw once for all its spacings (``bounds.mc_rmse_pairs``),
 so dropping a grid point never changes the remaining rows.
 
 The runners run BLAS single-threaded and spread their work over forked
-worker processes (``_parallel_map``). A spacing x size sweep runs one task
+worker processes (``_parallel``). A spacing x size sweep runs one task
 per spacing, every size at it. A power sweep factors its pairs in the
 calling process, since every power reads all of them, then runs one task
 per power of Monte-Carlo trials on workers that inherit the pairs through
@@ -30,15 +30,15 @@ from __future__ import annotations
 import csv
 import io
 import math
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+# the pool's modules, loaded here since the package's _parallel defers them
+import multiprocessing  # noqa: F401
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 
 import numpy as np
 
 from . import channel
-from ._blas import single_threaded_blas
+from ._parallel import parallel_map, single_threaded_blas
 from .bounds import BoundReport, FactoredPair, mc_rmse_pairs, snr
 from .channel import model_pair, noise_seed, sample_loads
 from .errors import ComputationError, ConfigError, annotate
@@ -149,60 +149,6 @@ def _report(pair: FactoredPair, columns, p_t=None, gamma=None, rmse=None) -> Bou
         crlb=pair.crlb(gamma) if "crlb" in columns else None)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
-
-
-# the task a forked worker runs; set in the worker only, by _start_worker
-_worker_task = None
-
-
-def _start_worker(task, budget) -> None:
-    global _worker_task
-    _worker_task = task
-    channel.cpu_budget = budget
-
-
-def _run_in_worker(i: int):
-    """``task(i)``, counted in the sweep's CPU budget while it runs."""
-    with channel.cpu_budget.hold():
-        return _worker_task(i)
-
-
-def _parallel_map(task, n: int) -> list:
-    """``[task(i) for i in range(n)]``, spread over forked worker processes,
-    one per usable CPU up to ``n``; inline where that is one process or
-    ``fork`` is missing. The pool is forked inside ``single_threaded_blas``,
-    so every worker inherits one BLAS thread per runtime and never calls a
-    setter: a setter call after a fork restarts OpenBLAS's thread server,
-    whose thread then spins (``_blas``). The workers share one
-    ``channel.CpuBudget`` of a unit per usable CPU, so the CPUs that no
-    worker's task occupies run ``build_B`` chunks on helper threads. The
-    results come back in index order, so the earliest failing index raises,
-    with its type, message and payload; the tasks not yet started are then
-    cancelled. Every worker is reaped before this returns."""
-    cpus = _usable_cpus()
-    workers = min(n, cpus)
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return [task(i) for i in range(n)]
-    # fork, not spawn: a forked worker starts with this process's imports
-    # and pair memo, and inherits its initializer arguments, so ``task``
-    # may be a closure; it is never pickled
-    context = multiprocessing.get_context("fork")
-    budget = channel.CpuBudget(cpus, context)
-    with single_threaded_blas():
-        pool = ProcessPoolExecutor(workers, context, initializer=_start_worker,
-                                   initargs=(task, budget))
-        try:
-            return list(pool.map(_run_in_worker, range(n)))
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-
 def _grid(request: SweepRequest, read, model_sink=None) -> list[tuple]:
     """``(variables, read(pair))`` per point of the kind's grid,
     spacing-major. Every point's scenario is built, and so checked, here
@@ -248,7 +194,7 @@ def _grid(request: SweepRequest, read, model_sink=None) -> list[tuple]:
         return out
 
     n = len(request.spacing_grid)
-    per_spacing = [points_at(i) for i in range(n)] if power else _parallel_map(points_at, n)
+    per_spacing = [points_at(i) for i in range(n)] if power else parallel_map(points_at, n)
     return [point for points in per_spacing for point in points]
 
 
@@ -281,7 +227,7 @@ def _sweep(request: SweepRequest, kind: str, model_sink=None) -> SweepResult:
             return mc_rmse_pairs(scenario, pairs, p_t, request.trials,
                                  noise_seed(scenario.rng_seed, p_dbm))
 
-        per_power = (_parallel_map(trials_at, len(powers)) if "rmse" in columns
+        per_power = (parallel_map(trials_at, len(powers)) if "rmse" in columns
                      else [[None] * len(pairs)] * len(powers))
         rows = [({"p_t_dbm": p_dbm, "d_over_lambda": d},
                  _report(pair, columns, p_t, gamma, rmse))

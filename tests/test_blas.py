@@ -49,6 +49,21 @@ def test_cli_start_leaves_scipy_linalg_unimported():
     assert loaded == []
 
 
+def test_pool_modules_load_with_the_cli_not_the_package():
+    # the package imports _parallel, whose pool needs both; the CLI loads
+    # them at start-up, so no sweep spends its run time importing them
+    loaded = run_python("""
+        import json, sys
+        pool = ("multiprocessing", "concurrent.futures", "concurrent.futures.process")
+        import ris_mcrb
+        package = [name for name in pool if name in sys.modules]
+        import ris_mcrb.cli
+        print(json.dumps([package, [name for name in pool if name in sys.modules]]))
+    """)
+    assert loaded == [[], ["multiprocessing", "concurrent.futures",
+                           "concurrent.futures.process"]]
+
+
 @pytest.mark.parametrize("scipy_first", [False, True],
                          ids=["scipy-after", "scipy-before"])
 def test_routines_are_scipys_complex128_routines(scipy_first):

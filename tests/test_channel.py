@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
-from ris_mcrb import channel
-from ris_mcrb._blas import single_threaded_blas
+from ris_mcrb import _parallel, channel
+from ris_mcrb._parallel import single_threaded_blas
 from ris_mcrb.channel import (
     CONTRACTION_LIMIT,
     RCOND_FLOOR,
@@ -461,8 +461,8 @@ class TestBuildBPaths:
 @pytest.fixture
 def budget(monkeypatch):
     """A three-unit CPU budget for this process's build_B calls."""
-    budget = channel.CpuBudget(3, multiprocessing.get_context())
-    monkeypatch.setattr(channel, "cpu_budget", budget)
+    budget = _parallel.CpuBudget(3, multiprocessing.get_context())
+    monkeypatch.setattr(_parallel, "_worker", (None, budget))
     return budget
 
 
@@ -538,9 +538,9 @@ class TestBuildBHelpers:
         assert {"lu": not iterated.any(), "jacobi": iterated.all(),
                 "mixed": 0 < iterated.sum() < g}[kind]
         with single_threaded_blas():
-            monkeypatch.setattr(channel, "cpu_budget", None)
+            monkeypatch.setattr(_parallel, "_worker", (None, None))
             serial = build_B(z_rs, z_self, z_mut, loads)
-            monkeypatch.setattr(channel, "cpu_budget", budget)
+            monkeypatch.setattr(_parallel, "_worker", (None, budget))
             on_main = chunk_threads(monkeypatch, slow)
             with budget.hold():  # the calling thread, as in a sweep worker
                 helped = build_B(z_rs, z_self, z_mut, loads)
@@ -549,14 +549,40 @@ class TestBuildBHelpers:
         assert np.array_equal(helped, serial)
         assert_helpers_done(budget)
 
+    def test_outside_a_worker_chunks_run_in_order_on_the_caller(self, monkeypatch):
+        # this process is no sweep worker, so it has no budget: every chunk
+        # runs on the calling thread, in increasing order, and no thread starts
+        assert _parallel._worker == (None, None)
+        z_rs, z_self, z_mut, loads = helper_system("lu", 3 * self.CHUNK + 5)
+        real = channel._contraction
+        seen = []
+
+        def record(mag, coupling):
+            seen.append((threading.current_thread() is threading.main_thread(),
+                         mag.copy()))
+            return real(mag, coupling)
+
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name!r} was started")
+
+        monkeypatch.setattr(channel, "_contraction", record)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        b = build_B(z_rs, z_self, z_mut, loads)
+        chunks = [np.abs(z_self + loads[k:k + self.CHUNK])
+                  for k in range(0, len(loads), self.CHUNK)]
+        assert [main for main, _ in seen] == [True] * len(chunks) == [True] * 4
+        for (_, mag), want in zip(seen, chunks):
+            assert np.array_equal(mag, want)
+        assert np.array_equal(b, lu_rows(z_rs, z_self, z_mut, loads))
+
     def test_many_helpers_with_a_short_switch_interval(self, monkeypatch):
         # more units than cores, and thread switches every microsecond: the
         # chunks, the budget count and the failure record must stay exact
-        budget = channel.CpuBudget(8, multiprocessing.get_context())
+        budget = _parallel.CpuBudget(8, multiprocessing.get_context())
         z_rs, z_self, z_mut, loads = helper_system("mixed", 12 * self.CHUNK + 3)
         with single_threaded_blas():
             serial = build_B(z_rs, z_self, z_mut, loads)
-            monkeypatch.setattr(channel, "cpu_budget", budget)
+            monkeypatch.setattr(_parallel, "_worker", (None, budget))
             on_main = chunk_threads(monkeypatch, "main")
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
@@ -570,7 +596,7 @@ class TestBuildBHelpers:
         assert_helpers_done(budget)
 
     def test_budget_count_survives_contention(self):
-        budget = channel.CpuBudget(3, multiprocessing.get_context())
+        budget = _parallel.CpuBudget(3, multiprocessing.get_context())
         taken = []
 
         def churn():

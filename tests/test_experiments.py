@@ -16,8 +16,8 @@ import weakref
 import numpy as np
 import pytest
 
-from ris_mcrb import _blas, bounds, channel, cli, experiments, impedance
-from ris_mcrb._blas import single_threaded_blas
+from ris_mcrb import _parallel, bounds, channel, cli, experiments, impedance
+from ris_mcrb._parallel import single_threaded_blas
 from ris_mcrb.bounds import bias_trace, crlb, lower_bound, mc_rmse
 from ris_mcrb.channel import model_pair, noise_seed, sample_loads
 from ris_mcrb.cli import main
@@ -431,13 +431,13 @@ def power_request(scenario, runner, **kwargs):
 
 def inline_sweeps(monkeypatch):
     """Run every sweep task in this process, where a test can count its
-    calls: ``_parallel_map`` then sees a single usable CPU."""
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+    calls: ``parallel_map`` then sees a single usable CPU."""
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 1)
 
 
 def pooled_sweeps(monkeypatch):
     """Spread every sweep over two forked workers, even on one CPU."""
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 2)
 
 
 def counting_wrapper(monkeypatch, module, name):
@@ -1039,6 +1039,35 @@ class TestCli:
                          "b_true_d0.1234567_2x2.csv", "b_true_d0.1234568_2x2.csv"]
 
 
+    @pytest.mark.parametrize("grid", [
+        ["--powers-dbm", "0,4000"],
+        ["--spacings-over-lambda", "-0.5"],
+    ], ids=["unusable-power", "unusable-spacing"])
+    def test_bad_request_leaves_no_dump_directory(self, tmp_path, capsys,
+                                                  monkeypatch, grid):
+        built = self.refuse_points(monkeypatch)
+        cfg = self.write_config(tmp_path)
+        dump_dir = tmp_path / "models"
+        assert main(["lb-vs-power", *grid, "--config", cfg,
+                     "--dump-model", str(dump_dir),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert built == []
+        assert not dump_dir.exists()
+        assert capsys.readouterr().err.startswith("ris-mcrb: config error: ")
+
+    def test_dump_model_onto_a_file_exits_4(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        dump = tmp_path / "models"
+        dump.write_text("")
+        out = tmp_path / "x.csv"
+        assert main(["lb-vs-power", "--config", cfg, "--powers-dbm", "0",
+                     "--spacings-over-lambda", "0.5", "--dump-model", str(dump),
+                     "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            f"ris-mcrb: I/O error: [Errno {errno.EEXIST}] "
+            f"{os.strerror(errno.EEXIST)}: {str(dump)!r}\n")
+        assert dump.read_text() == "" and not out.exists()
+
 # the runner each sweep subcommand declares, by its name in ``cli``
 CLI_RUNNERS = {"lb-vs-power": "run_lb_vs_power", "mc-rmse": "run_mc_rmse",
                "bias-vs-spacing": "run_bias_vs_spacing",
@@ -1199,7 +1228,7 @@ class TestParallelSweeps:
         pooled_sweeps(monkeypatch)
         for _, set_ in blas_runtimes:
             set_(2)
-        counts = experiments._parallel_map(
+        counts = _parallel.parallel_map(
             lambda i: [get() for get, _ in blas_runtimes], 2)
         assert counts == [[1] * len(blas_runtimes)] * 2
 
@@ -1217,7 +1246,7 @@ class TestParallelSweeps:
             time.sleep(0.3)
             return time.process_time() - started
 
-        assert max(experiments._parallel_map(sleeper, 2)) < 0.05
+        assert max(_parallel.parallel_map(sleeper, 2)) < 0.05
 
     def test_without_fork_runs_inline(self, small_scenario, monkeypatch):
         # a platform without fork runs every task in this process, with no
@@ -1228,19 +1257,19 @@ class TestParallelSweeps:
         inline = run_bias_vs_spacing(request).rows
         pooled_sweeps(monkeypatch)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        assert channel.cpu_budget is None
+        assert _parallel._worker[1] is None
         impedance._pair_impedance.cache_clear()
         assert run_bias_vs_spacing(request).rows == inline
-        seen = experiments._parallel_map(lambda i: (os.getpid(), channel.cpu_budget), 3)
+        seen = _parallel.parallel_map(lambda i: (os.getpid(), _parallel._worker[1]), 3)
         assert seen == [(os.getpid(), None)] * 3
         assert multiprocessing.active_children() == []
 
     def test_workers_count_in_the_budget(self, monkeypatch):
         # a unit per usable CPU, and a running task holds one of them
         pooled_sweeps(monkeypatch)
-        seen = experiments._parallel_map(
-            lambda i: (channel.cpu_budget.units,
-                       channel.cpu_budget._running.value), 3)
+        seen = _parallel.parallel_map(
+            lambda i: (_parallel._worker[1].units,
+                       _parallel._worker[1]._running.value), 3)
         assert [units for units, _ in seen] == [2] * 3
         assert all(running >= 1 for _, running in seen)
 
@@ -1291,7 +1320,7 @@ class TestParallelSweeps:
                 with helper_chunks.get_lock():
                     helper_chunks.value += 1
             elif spacing["d"] == 0.02:
-                budget, deadline = channel.cpu_budget, time.monotonic() + 10.0
+                budget, deadline = _parallel._worker[1], time.monotonic() + 10.0
                 while (budget._running.value >= budget.units
                        and helper_chunks.value == 0
                        and time.monotonic() < deadline):
@@ -1305,7 +1334,7 @@ class TestParallelSweeps:
         assert run_bias_vs_spacing(request).rows == inline
         assert helper_chunks.value > 0
         assert multiprocessing.active_children() == []
-        assert channel.cpu_budget is None
+        assert _parallel._worker[1] is None
         assert [t for t in threading.enumerate() if t.name == "build_B helper"] == []
 
     def test_no_worker_outlives_a_sweep(self, small_scenario, monkeypatch):
@@ -1428,7 +1457,7 @@ class TestPooledPowerSweeps:
         def refuse(task, n):
             raise AssertionError("a pool was started")
 
-        monkeypatch.setattr(experiments, "_parallel_map", refuse)
+        monkeypatch.setattr(experiments, "parallel_map", refuse)
         pooled_sweeps(monkeypatch)
         request = power_request(small_scenario, run_lb_vs_power,
                                 power_grid=self.POWERS, spacing_grid=[0.05, 0.5])
@@ -1454,14 +1483,14 @@ class FakeBlas:
 class TestSingleThreadedBlas:
     def test_no_setter_runs_at_one_thread(self, monkeypatch):
         blas = FakeBlas(1, 1)
-        monkeypatch.setattr(_blas, "openblas_thread_controls", blas.controls)
+        monkeypatch.setattr(_parallel, "openblas_thread_controls", blas.controls)
         with single_threaded_blas():
             assert blas.counts == [1, 1]
         assert blas.calls == []
 
     def test_restores_only_changed_counts(self, monkeypatch):
         blas = FakeBlas(1, 4, 1)
-        monkeypatch.setattr(_blas, "openblas_thread_controls", blas.controls)
+        monkeypatch.setattr(_parallel, "openblas_thread_controls", blas.controls)
         with single_threaded_blas():
             assert blas.calls == [(1, 1)]
             blas.counts[2] = 3  # changed by a callee, not through a setter

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from ris_mcrb import experiments, impedance
+from ris_mcrb import _parallel, experiments, impedance
 from ris_mcrb.errors import (
     DegenerateGeometryError,
     QuadratureConvergenceError,
@@ -572,7 +572,7 @@ class TestPairMemo:
 
     def test_sweep_csv_independent_of_memo_state(self, integrations, monkeypatch):
         # every point in this process, where its quadratures are counted
-        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 1)
         sc = scenario_from_config({"ris_n1": 2, "ris_n2": 2,
                                    "num_transmissions": 16})
 
