@@ -1,5 +1,5 @@
 """How a sweep uses the CPUs: one BLAS thread, forked worker processes,
-and helper threads for ``build_B``'s chunks, inside one CPU budget.
+and helper threads for ``build_B``'s chunks on the CPUs no task occupies.
 
 A sweep runs every loaded OpenBLAS runtime at one thread
 (``single_threaded_blas``): its BLAS calls are small and its workers and
@@ -8,24 +8,29 @@ only contend for cores, and a threaded reduction may sum in another order.
 A setter runs only when a count is not already the target: after a fork,
 a setter call rebuilds OpenBLAS's thread server, whose thread then spins
 (about 0.25 s of CPU time per call on a 2-vCPU host, even at one thread).
-So the pool is forked at one thread, and neither its workers nor a sweep
-nested in a pinned caller call a setter.
+So the sweep runners pin before they fork the pool, and neither its
+workers nor a sweep nested in a pinned caller call a setter.
 
 ``parallel_map`` runs a sweep's tasks on forked workers, one per usable
-CPU up to the task count, or inline on one CPU or without ``fork``. The
-workers share a ``CpuBudget`` of a unit per usable CPU and count in it
-while they run a task. While a unit is free, ``run_chunks`` hands
-``build_B``'s chunks to helper threads too (scipy's LAPACK wrappers release
-the GIL); outside a sweep worker the chunks run in order on the calling
-thread. Every task and chunk is deterministic and its result its own, so
-the bytes do not depend on which process or thread ran it, and where
-several fail, the earliest raises, as the serial loop would.
+CPU up to the task count, or inline on one CPU or without ``fork``. A CPU
+no task runs on is spare: those beyond the worker count from the start,
+and, once fewer tasks are left than workers, one more per task that ends,
+since no task is left for that worker. The parent process releases a
+semaphore unit for each; workers never count themselves. ``run_chunks``
+starts a helper thread for ``build_B``'s chunks on each unit it can take
+(scipy's LAPACK wrappers release the GIL), so helpers and tasks together
+never exceed the usable CPUs; outside a sweep worker the chunks run in
+order on the calling thread. Every task and chunk is deterministic and
+its result its own, so the bytes do not depend on which process or
+thread ran it, and where several fail, the earliest raises, as the
+serial loop would.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import itertools
 import os
 import threading
 
@@ -84,61 +89,21 @@ def single_threaded_blas():
                 set_(count)
 
 
-class CpuBudget:
-    """The number of threads a sweep's processes run at once, one counter
-    shared by every process forked after it is made.
-
-    A sweep worker counts itself for as long as it runs a task (``hold``) and
-    is counted at once, even past ``units``, so no worker ever waits. A
-    helper thread runs only while it holds a unit taken by ``try_take``,
-    which succeeds while fewer than ``units`` threads run; it gives the unit
-    back (``give``) after each chunk of work, so a worker that starts a task
-    leaves the helpers no unit to go on with.
-    """
-
-    def __init__(self, units: int, context):
-        self.units = units
-        self._running = context.Value("i", 0)
-
-    def _add(self, count: int) -> None:
-        with self._running.get_lock():
-            self._running.value += count
-
-    @contextlib.contextmanager
-    def hold(self):
-        """Count the calling thread while the block runs."""
-        self._add(1)
-        try:
-            yield
-        finally:
-            self._add(-1)
-
-    def try_take(self) -> bool:
-        """Take a unit if fewer than ``units`` threads run."""
-        with self._running.get_lock():
-            if self._running.value >= self.units:
-                return False
-            self._running.value += 1
-            return True
-
-    def give(self) -> None:
-        """Give back a unit taken by ``try_take``."""
-        self._add(-1)
-
-
-# (task, budget) of the sweep this process works for, set in each sweep
-# worker by _start_worker; (None, None) elsewhere
+# (task, spare) of the sweep this process works for, set in each sweep
+# worker by _start_worker: its task and the semaphore of spare CPUs;
+# (None, None) elsewhere
 _worker = (None, None)
 
 
 def run_chunks(run, count: int) -> None:
     """``run(k)`` for every chunk ``k < count``, claimed in increasing order.
     Before each chunk it claims, the calling thread starts a helper thread
-    if another chunk is unclaimed and the worker's budget has a free unit.
-    A helper gives its unit back after each chunk and goes on only if it
-    can take one again. After a failure no later chunk is claimed; once
-    every helper has stopped, the earliest chunk's failure is raised."""
-    _, budget = _worker
+    if another chunk is unclaimed and it can take a unit of the worker's
+    spare CPUs. A helper gives its unit back after each chunk and goes on
+    only if it can take one again. After a failure no later chunk is
+    claimed; once every helper has stopped, the earliest chunk's failure
+    is raised."""
+    _, spare = _worker
     lock = threading.Lock()
     claimed, end = 0, count
     failures = {}
@@ -163,20 +128,20 @@ def run_chunks(run, count: int) -> None:
     def helper():
         while (k := claim()) is not None:
             attempt(k)
-            budget.give()
-            if not budget.try_take():
+            spare.release()
+            if not spare.acquire(False):
                 return
-        budget.give()
+        spare.release()
 
     helpers = []
     try:
         while (k := claim()) is not None:
-            if budget is not None and claimed < end and budget.try_take():
+            if spare is not None and claimed < end and spare.acquire(False):
                 thread = threading.Thread(target=helper, name="build_B helper")
                 try:
                     thread.start()
                 except BaseException:
-                    budget.give()
+                    spare.release()
                     raise
                 helpers.append(thread)
             attempt(k)
@@ -197,26 +162,24 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _start_worker(task, budget) -> None:
+def _start_worker(task, spare) -> None:
     global _worker
-    _worker = (task, budget)
+    _worker = (task, spare)
 
 
 def _run_in_worker(i: int):
-    """``task(i)``, counted in the sweep's CPU budget while it runs."""
-    task, budget = _worker
-    with budget.hold():
-        return task(i)
+    return _worker[0](i)
 
 
 def parallel_map(task, n: int) -> list:
     """``[task(i) for i in range(n)]`` on forked workers, one per usable CPU
     up to ``n``; inline where that is one process or ``fork`` is missing.
-    The pool is forked inside ``single_threaded_blas`` and its workers share
-    one ``CpuBudget``. The results come back in index order, so the
-    earliest failing index raises, with its type, message and payload; the
-    tasks not yet started are then cancelled. Every worker is reaped
-    before this returns."""
+    The caller has pinned BLAS (``single_threaded_blas``), so the workers
+    fork at one thread. They share a semaphore of the spare CPUs, which
+    only this process releases, as tasks end. The results come back in
+    index order, so the earliest failing index raises, with its type,
+    message and payload; the tasks not yet started are then cancelled.
+    Every worker is reaped before this returns."""
     import multiprocessing  # not with the package: experiments loads it
     from concurrent.futures import ProcessPoolExecutor
 
@@ -228,11 +191,21 @@ def parallel_map(task, n: int) -> list:
     # and pair memo, and inherits its initializer arguments, so ``task``
     # may be a closure; it is never pickled
     context = multiprocessing.get_context("fork")
-    budget = CpuBudget(cpus, context)
-    with single_threaded_blas():
-        pool = ProcessPoolExecutor(workers, context, initializer=_start_worker,
-                                   initargs=(task, budget))
-        try:
-            return list(pool.map(_run_in_worker, range(n)))
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
+    spare = context.Semaphore(cpus - workers)
+    ended = itertools.count(1)  # next() is atomic: callbacks run on two threads
+
+    def release(future):
+        # after the k-th task ends, n - k are left; below the worker count,
+        # the worker that ran it has none to take
+        if not future.cancelled() and n - next(ended) < workers:
+            spare.release()
+
+    pool = ProcessPoolExecutor(workers, context, initializer=_start_worker,
+                               initargs=(task, spare))
+    try:
+        futures = [pool.submit(_run_in_worker, i) for i in range(n)]
+        for future in futures:
+            future.add_done_callback(release)
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)

@@ -8,7 +8,8 @@ kind and runner, so ``_run`` builds every request in one place.
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical failure
 (singular systems, non-convergent quadrature) or an array too large for
-memory, 4 I/O failure (an unusable ``--out`` before the sweep runs).
+memory, 4 I/O failure (an unusable ``--out``, or a ``--dump-model`` path
+that is a file, before the sweep runs).
 
 The CLI sets no BLAS thread count: each sweep runner runs its BLAS work
 single-threaded and restores the caller's counts when it returns, so the
@@ -206,6 +207,10 @@ def main(argv=None) -> int:
     try:
         if args.out:
             _check_out(args.out)
+        dump = getattr(args, "dump_model", None)
+        if dump and os.path.exists(dump) and not os.path.isdir(dump):
+            # what the sink's os.makedirs would raise at its first write
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), dump)
         result = _run(args)
         if args.out:
             emit_csv(result, args.out)

@@ -459,11 +459,11 @@ class TestBuildBPaths:
 
 
 @pytest.fixture
-def budget(monkeypatch):
-    """A three-unit CPU budget for this process's build_B calls."""
-    budget = _parallel.CpuBudget(3, multiprocessing.get_context())
-    monkeypatch.setattr(_parallel, "_worker", (None, budget))
-    return budget
+def spare(monkeypatch):
+    """Two spare CPUs for this process's build_B calls."""
+    spare = multiprocessing.get_context().Semaphore(2)
+    monkeypatch.setattr(_parallel, "_worker", (None, spare))
+    return spare
 
 
 def chunk_threads(monkeypatch, slow=None):
@@ -493,14 +493,9 @@ def chunk_threads(monkeypatch, slow=None):
     return on_main
 
 
-def free_units(budget):
-    """Units no thread holds (negative while workers run past ``units``)."""
-    return budget.units - budget._running.value
-
-
-def assert_helpers_done(budget):
+def assert_helpers_done(spare, units):
     assert [t for t in threading.enumerate() if t.name == "build_B helper"] == []
-    assert free_units(budget) == budget.units
+    assert spare.get_value() == units
 
 
 def helper_system(kind, g, n=12):
@@ -520,8 +515,8 @@ def helper_system(kind, g, n=12):
 
 
 class TestBuildBHelpers:
-    """build_B chunks on helper threads drawn from a CPU budget give the
-    serial rows and failures, and leave no thread and no unit behind."""
+    """build_B chunks on helper threads, one per spare CPU, give the
+    serial rows and failures, and leave no thread and every unit behind."""
 
     CHUNK = channel.JACOBI_CHUNK
 
@@ -532,7 +527,7 @@ class TestBuildBHelpers:
         ("mixed", 2 * CHUNK + 6),
         ("mixed", 5 * CHUNK + 1),
     ])
-    def test_rows_equal_serial_rows(self, monkeypatch, budget, kind, g, slow):
+    def test_rows_equal_serial_rows(self, monkeypatch, spare, kind, g, slow):
         z_rs, z_self, z_mut, loads = helper_system(kind, g)
         iterated = iterated_rows(z_self, z_mut, loads)
         assert {"lu": not iterated.any(), "jacobi": iterated.all(),
@@ -540,17 +535,16 @@ class TestBuildBHelpers:
         with single_threaded_blas():
             monkeypatch.setattr(_parallel, "_worker", (None, None))
             serial = build_B(z_rs, z_self, z_mut, loads)
-            monkeypatch.setattr(_parallel, "_worker", (None, budget))
+            monkeypatch.setattr(_parallel, "_worker", (None, spare))
             on_main = chunk_threads(monkeypatch, slow)
-            with budget.hold():  # the calling thread, as in a sweep worker
-                helped = build_B(z_rs, z_self, z_mut, loads)
+            helped = build_B(z_rs, z_self, z_mut, loads)
         assert len(on_main) == -(-g // self.CHUNK)
         assert not all(on_main)
         assert np.array_equal(helped, serial)
-        assert_helpers_done(budget)
+        assert_helpers_done(spare, 2)
 
     def test_outside_a_worker_chunks_run_in_order_on_the_caller(self, monkeypatch):
-        # this process is no sweep worker, so it has no budget: every chunk
+        # this process is no sweep worker, so it has no spare CPUs: every chunk
         # runs on the calling thread, in increasing order, and no thread starts
         assert _parallel._worker == (None, None)
         z_rs, z_self, z_mut, loads = helper_system("lu", 3 * self.CHUNK + 5)
@@ -577,12 +571,12 @@ class TestBuildBHelpers:
 
     def test_many_helpers_with_a_short_switch_interval(self, monkeypatch):
         # more units than cores, and thread switches every microsecond: the
-        # chunks, the budget count and the failure record must stay exact
-        budget = _parallel.CpuBudget(8, multiprocessing.get_context())
+        # chunks, the semaphore count and the failure record must stay exact
+        spare = multiprocessing.get_context().Semaphore(8)
         z_rs, z_self, z_mut, loads = helper_system("mixed", 12 * self.CHUNK + 3)
         with single_threaded_blas():
             serial = build_B(z_rs, z_self, z_mut, loads)
-            monkeypatch.setattr(_parallel, "_worker", (None, budget))
+            monkeypatch.setattr(_parallel, "_worker", (None, spare))
             on_main = chunk_threads(monkeypatch, "main")
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
@@ -593,45 +587,22 @@ class TestBuildBHelpers:
         assert not all(on_main)
         for b in helped:
             assert np.array_equal(b, serial)
-        assert_helpers_done(budget)
+        assert_helpers_done(spare, 8)
 
-    def test_budget_count_survives_contention(self):
-        budget = _parallel.CpuBudget(3, multiprocessing.get_context())
-        taken = []
-
-        def churn():
-            for _ in range(200):
-                with budget.hold():
-                    if budget.try_take():
-                        taken.append(True)
-                        budget.give()
-
-        threads = [threading.Thread(target=churn) for _ in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(30.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert taken
-        assert free_units(budget) == budget.units
-
-    def test_workers_holding_every_unit_leave_no_helper(self, monkeypatch, budget):
+    def test_workers_holding_every_unit_leave_no_helper(self, monkeypatch):
+        # every CPU runs a sweep task, so none is spare
+        spare = multiprocessing.get_context().Semaphore(0)
+        monkeypatch.setattr(_parallel, "_worker", (None, spare))
         z_rs, z_self, z_mut, loads = helper_system("mixed", 3 * self.CHUNK)
         contexts = factor_contexts(monkeypatch)
         on_main = chunk_threads(monkeypatch)
-        with budget.hold(), budget.hold(), budget.hold():
-            build_B(z_rs, z_self, z_mut, loads)
+        build_B(z_rs, z_self, z_mut, loads)
         assert all(on_main) and len(on_main) == 3
         # the serial loop's order of factorizations
         assert contexts == sorted(contexts, key=lambda c: int(c.split()[1]))
-        assert_helpers_done(budget)
+        assert_helpers_done(spare, 0)
 
-    def test_earliest_singular_configuration_raised(self, monkeypatch, budget):
+    def test_earliest_singular_configuration_raised(self, monkeypatch, spare):
         # configurations 5 (chunk 0, on the calling thread) and 40 (chunk 1,
         # on a helper) are nearly singular; chunk 0 waits until chunk 1 has
         # failed, yet the error names configuration 5, with its own rcond,
@@ -659,8 +630,7 @@ class TestBuildBHelpers:
                     late_failed.set()
 
         monkeypatch.setattr(channel, "_factor", wrapper)
-        with budget.hold(), pytest.raises(SingularModelError,
-                                          match="^configuration 5: ") as exc_info:
+        with pytest.raises(SingularModelError, match="^configuration 5: ") as exc_info:
             build_B(np.ones(n, dtype=complex), z_self, z_mut, loads)
         assert failed == ["configuration 40", "configuration 5"]
         assert max(begun) == 40
@@ -668,7 +638,7 @@ class TestBuildBHelpers:
         assert max(rconds) < RCOND_FLOOR
         assert rconds[1] > 2.0 * rconds[0]
         assert exc_info.value.rcond == pytest.approx(rconds[0], rel=1e-12, abs=0.0)
-        assert_helpers_done(budget)
+        assert_helpers_done(spare, 2)
 
 
 class TestFrozenFields:

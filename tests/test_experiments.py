@@ -1068,6 +1068,18 @@ class TestCli:
             f"{os.strerror(errno.EEXIST)}: {str(dump)!r}\n")
         assert dump.read_text() == "" and not out.exists()
 
+    def test_dump_model_onto_a_file_exits_before_any_point(self, tmp_path, capsys,
+                                                           monkeypatch):
+        built = self.refuse_points(monkeypatch)
+        cfg = self.write_config(tmp_path)
+        dump = tmp_path / "models"
+        dump.write_text("")
+        assert main(["lb-vs-power", "--config", cfg, "--dump-model", str(dump),
+                     "--out", str(tmp_path / "x.csv")]) == 4
+        assert built == []
+        assert capsys.readouterr().err.startswith("ris-mcrb: I/O error: ")
+        assert dump.read_text() == ""
+
 # the runner each sweep subcommand declares, by its name in ``cli``
 CLI_RUNNERS = {"lb-vs-power": "run_lb_vs_power", "mc-rmse": "run_mc_rmse",
                "bias-vs-spacing": "run_bias_vs_spacing",
@@ -1224,13 +1236,30 @@ class TestParallelSweeps:
             assert pooled == inline, request
             assert pooled
 
-    def test_workers_run_blas_single_threaded(self, monkeypatch, blas_runtimes):
+    def test_workers_run_blas_single_threaded(self, small_scenario, monkeypatch,
+                                              blas_runtimes):
+        # every pooled runner pins BLAS before it forks, so each task runs
+        # at one thread although this process starts at two
         pooled_sweeps(monkeypatch)
         for _, set_ in blas_runtimes:
             set_(2)
-        counts = _parallel.parallel_map(
-            lambda i: [get() for get, _ in blas_runtimes], 2)
-        assert counts == [[1] * len(blas_runtimes)] * 2
+        tasks = multiprocessing.get_context("fork").Value("i", 0)
+
+        def pinned_map(task, n):
+            def checked(i):
+                assert [get() for get, _ in blas_runtimes] == [1] * len(blas_runtimes)
+                with tasks.get_lock():
+                    tasks.value += 1
+                return task(i)
+            return _parallel.parallel_map(checked, n)
+
+        monkeypatch.setattr(experiments, "parallel_map", pinned_map)
+        for runner, request in self.requests(small_scenario):
+            runner(request)
+        # three spacings for each of two spacing sweeps, two powers for each
+        # of two mc-rmse sweeps; lb-vs-power runs no task
+        assert tasks.value == 2 * 3 + 2 * 2
+        assert [get() for get, _ in blas_runtimes] == [2] * len(blas_runtimes)
 
     def test_idle_workers_burn_no_cpu(self, monkeypatch, blas_runtimes):
         # a BLAS setter call after the fork restarts OpenBLAS's thread
@@ -1246,11 +1275,12 @@ class TestParallelSweeps:
             time.sleep(0.3)
             return time.process_time() - started
 
-        assert max(_parallel.parallel_map(sleeper, 2)) < 0.05
+        with single_threaded_blas():  # as a sweep runner forks the pool
+            assert max(_parallel.parallel_map(sleeper, 2)) < 0.05
 
     def test_without_fork_runs_inline(self, small_scenario, monkeypatch):
         # a platform without fork runs every task in this process, with no
-        # CPU budget, so build_B starts no helper threads
+        # semaphore of spare CPUs, so build_B starts no helper threads
         request = SweepRequest(kind="bias_vs_spacing", scenario=small_scenario,
                                spacing_grid=[0.05, 0.5], sizes=[(2, 2)])
         inline_sweeps(monkeypatch)
@@ -1264,14 +1294,27 @@ class TestParallelSweeps:
         assert seen == [(os.getpid(), None)] * 3
         assert multiprocessing.active_children() == []
 
-    def test_workers_count_in_the_budget(self, monkeypatch):
-        # a unit per usable CPU, and a running task holds one of them
+    def test_no_unit_is_spare_while_tasks_fill_the_workers(self, monkeypatch):
+        # five tasks on two CPUs: until fewer tasks are left than workers,
+        # every CPU runs one. The fourth task waits until the last has
+        # begun, so the last begins before four tasks have ended
         pooled_sweeps(monkeypatch)
-        seen = _parallel.parallel_map(
-            lambda i: (_parallel._worker[1].units,
-                       _parallel._worker[1]._running.value), 3)
-        assert [units for units, _ in seen] == [2] * 3
-        assert all(running >= 1 for _, running in seen)
+        last_began = multiprocessing.get_context("fork").Event()
+
+        def task(i):
+            spare = _parallel._worker[1].get_value()
+            if i == 4:
+                last_began.set()
+            elif i == 3:
+                assert last_began.wait(10.0)
+            return spare
+
+        assert _parallel.parallel_map(task, 5) == [0] * 5
+
+    def test_cpus_beyond_the_workers_are_spare_from_the_start(self, monkeypatch):
+        monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 3)
+        seen = _parallel.parallel_map(lambda i: _parallel._worker[1].get_value(), 2)
+        assert min(seen) >= 1
 
     def test_first_failing_spacing_raises(self, small_scenario, monkeypatch):
         # every point fails, the first spacing last in time; the error must
@@ -1298,8 +1341,9 @@ class TestParallelSweeps:
     def test_helpers_finish_the_heaviest_spacing(self, small_scenario, monkeypatch):
         # four spacing tasks on two workers: the first spacing's build_B
         # calls have 16 chunks each, and its chunks on the worker's own
-        # thread wait until the other worker has left a unit free, so a
-        # helper thread must run some of them; the rows are the inline rows
+        # thread wait until a CPU is spare (the other worker has run out of
+        # tasks), so a helper thread must run some of them; the rows are
+        # the inline rows
         scenario = small_scenario.with_overrides(
             num_transmissions=16 * channel.JACOBI_CHUNK)
         request = SweepRequest(kind="bias_vs_spacing", scenario=scenario,
@@ -1320,9 +1364,8 @@ class TestParallelSweeps:
                 with helper_chunks.get_lock():
                     helper_chunks.value += 1
             elif spacing["d"] == 0.02:
-                budget, deadline = _parallel._worker[1], time.monotonic() + 10.0
-                while (budget._running.value >= budget.units
-                       and helper_chunks.value == 0
+                spare, deadline = _parallel._worker[1], time.monotonic() + 10.0
+                while (spare.get_value() == 0 and helper_chunks.value == 0
                        and time.monotonic() < deadline):
                     time.sleep(0.001)
             return contraction(mag, coupling)
