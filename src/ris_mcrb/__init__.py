@@ -19,7 +19,6 @@ from .bounds import (
     pseudo_true,
 )
 from .channel import (
-    RealifiedModel,
     build_B,
     complexify_vec,
     model_pair,

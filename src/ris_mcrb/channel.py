@@ -28,8 +28,6 @@ children's PCG64 states in bulk and reuses one generator per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 # imported with the package: numpy 2 would import it on first use, inside
 # the first sweep that draws loads or noise
@@ -352,48 +350,15 @@ def build_B(z_rs, z_ss_self, z_ss_mutual, loads) -> np.ndarray:
     return b
 
 
-@dataclass(frozen=True)
-class RealifiedModel:
-    """Real 2G x 2N block form of a complex G x N model matrix."""
-
-    matrix: np.ndarray
-    includes_mutual_coupling: bool
-
-    def __post_init__(self):
-        # freeze a copy so later writes to the caller's array cannot reach it
-        d = np.array(self.matrix, dtype=float)
-        if d.ndim != 2 or d.shape[0] % 2 or d.shape[1] % 2:
-            raise ValueError("realified matrix must be 2G x 2N")
-        g, n = d.shape[0] // 2, d.shape[1] // 2
-        scale = np.linalg.norm(d)
-        tol = 1e-12 * scale
-        if np.linalg.norm(d[:g, :n] - d[g:, n:]) > tol or \
-           np.linalg.norm(d[:g, n:] + d[g:, :n]) > tol:
-            raise ValueError("matrix does not have the [[Re,-Im],[Im,Re]] block structure")
-        d.flags.writeable = False
-        object.__setattr__(self, "matrix", d)
-
-    @property
-    def num_configurations(self) -> int:
-        return self.matrix.shape[0] // 2
-
-    @property
-    def num_elements(self) -> int:
-        return self.matrix.shape[1] // 2
-
-    @property
-    def complex_model(self) -> np.ndarray:
-        """Recover the complex G x N matrix from the top block row."""
-        g, n = self.num_configurations, self.num_elements
-        return self.matrix[:g, :n] + 1j * self.matrix[g:, :n]
-
-
-def realify(b: np.ndarray, *, includes_mutual_coupling: bool) -> RealifiedModel:
-    """Map complex G x N to the real [[Re,-Im],[Im,Re]] block matrix."""
+def realify(b: np.ndarray, *, includes_mutual_coupling: bool) -> np.ndarray:
+    """Map complex G x N to the real [[Re,-Im],[Im,Re]] block matrix, a
+    fresh read-only 2G x 2N array. ``includes_mutual_coupling`` labels the
+    call (which model of the pair it realifies) and is not stored."""
     b = np.asarray(b, dtype=complex)
     re, im = b.real, b.imag
     d = np.block([[re, -im], [im, re]])
-    return RealifiedModel(matrix=d, includes_mutual_coupling=includes_mutual_coupling)
+    d.flags.writeable = False
+    return d
 
 
 def realify_vec(v) -> np.ndarray:
@@ -412,22 +377,32 @@ def complexify_vec(x) -> np.ndarray:
 
 
 def as_model_matrix(d) -> np.ndarray:
-    """Accept a RealifiedModel or a raw 2G x 2N array."""
-    return d.matrix if isinstance(d, RealifiedModel) else np.asarray(d, dtype=float)
+    """A real 2G x 2N model matrix as a float array; its layout is checked
+    where a bound takes it (``_complex_form``)."""
+    return np.asarray(d, dtype=float)
 
 
 def _complex_form(a) -> np.ndarray:
     """Complex form of a model matrix or vector: a complex array as it is, a
-    real vector as stacked [Re; Im], a RealifiedModel or real matrix through
-    RealifiedModel's layout check, made after the rows-versus-unknowns one."""
-    d = a.matrix if isinstance(a, RealifiedModel) else np.asarray(a)
+    real vector as stacked [Re; Im], a real matrix from its top block row,
+    once it has passed the rows-versus-unknowns check and the layout check
+    of ``realify``'s 2G x 2N [[Re,-Im],[Im,Re]] blocks."""
+    d = np.asarray(a)
     if d.ndim == 2 and d.shape[0] < d.shape[1]:
         raise DegenerateDesignError(f"{d.shape[0]} rows cannot identify {d.shape[1]} unknowns")
     if np.iscomplexobj(d):
         return d
     if d.ndim == 1:
         return complexify_vec(d)
-    return RealifiedModel(d, includes_mutual_coupling=False).complex_model
+    d = as_model_matrix(d)
+    if d.ndim != 2 or d.shape[0] % 2 or d.shape[1] % 2:
+        raise ValueError("realified matrix must be 2G x 2N")
+    g, n = d.shape[0] // 2, d.shape[1] // 2
+    tol = 1e-12 * np.linalg.norm(d)
+    if np.linalg.norm(d[:g, :n] - d[g:, n:]) > tol or \
+       np.linalg.norm(d[:g, n:] + d[g:, :n]) > tol:
+        raise ValueError("matrix does not have the [[Re,-Im],[Im,Re]] block structure")
+    return d[:g, :n] + 1j * d[g:, :n]
 
 
 def model_pair(impedances: ImpedanceSet, loads) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

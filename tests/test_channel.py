@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
-from ris_mcrb import _parallel, channel
+from ris_mcrb import _parallel, bounds, channel
 from ris_mcrb._parallel import single_threaded_blas
 from ris_mcrb.channel import (
     CONTRACTION_LIMIT,
     RCOND_FLOOR,
-    RealifiedModel,
     build_B,
     complexify_vec,
     model_pair,
@@ -643,38 +642,38 @@ class TestBuildBHelpers:
 
 class TestFrozenFields:
     def test_realified_model_leaves_caller_array_writeable(self):
-        matrix = np.array([[1.0, -2.0], [2.0, 1.0]])
-        model = RealifiedModel(matrix=matrix, includes_mutual_coupling=False)
-        assert matrix.flags.writeable
-        assert not model.matrix.flags.writeable
+        b = np.array([[1.0 + 2.0j]])
+        d = realify(b, includes_mutual_coupling=False)
+        assert b.flags.writeable
+        assert not d.flags.writeable
         with pytest.raises(ValueError):
-            model.matrix[0, 0] = 0.0
+            d[0, 0] = 0.0
 
     def test_realified_model_holds_a_copy(self):
-        matrix = np.array([[1.0, -2.0], [2.0, 1.0]])
-        model = RealifiedModel(matrix=matrix, includes_mutual_coupling=False)
-        matrix[0, 0] = 5.0
-        assert model.matrix[0, 0] == 1.0
+        b = np.array([[1.0 + 2.0j]])
+        d = realify(b, includes_mutual_coupling=False)
+        b[0, 0] = 5.0
+        assert np.array_equal(d, [[1.0, -2.0], [2.0, 1.0]])
 
 
 class TestRealify:
     def test_hand_example(self):
-        model = realify(np.array([[1.0 + 2.0j]]), includes_mutual_coupling=False)
-        assert np.array_equal(model.matrix, [[1.0, -2.0], [2.0, 1.0]])
-        got = model.matrix @ realify_vec(np.array([3.0 + 4.0j]))
+        d = realify(np.array([[1.0 + 2.0j]]), includes_mutual_coupling=False)
+        assert np.array_equal(d, [[1.0, -2.0], [2.0, 1.0]])
+        got = d @ realify_vec(np.array([3.0 + 4.0j]))
         assert np.array_equal(got, realify_vec(np.array([-5.0 + 10.0j])))
 
     def test_real_matrix_block_diagonal(self):
-        model = realify(np.eye(2) * 3.0, includes_mutual_coupling=False)
-        assert np.array_equal(model.matrix, 3.0 * np.eye(4))
+        d = realify(np.eye(2) * 3.0, includes_mutual_coupling=False)
+        assert np.array_equal(d, 3.0 * np.eye(4))
 
     def test_multiply_both_paths_oracle(self):
         rng = np.random.default_rng(23)
         b = crandn(rng, (5, 3))
         v = crandn(rng, (3,))
-        model = realify(b, includes_mutual_coupling=True)
+        d = realify(b, includes_mutual_coupling=True)
         lhs = realify_vec(b @ v)
-        rhs = model.matrix @ realify_vec(v)
+        rhs = d @ realify_vec(v)
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
     @settings(deadline=None, max_examples=60)
@@ -683,9 +682,9 @@ class TestRealify:
         rng = np.random.default_rng(seed)
         b = crandn(rng, (g, n))
         v = crandn(rng, (n,))
-        model = realify(b, includes_mutual_coupling=False)
+        d = realify(b, includes_mutual_coupling=False)
         lhs = realify_vec(b @ v)
-        rhs = model.matrix @ realify_vec(v)
+        rhs = d @ realify_vec(v)
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(np.linalg.norm(rhs), 1e-300)
 
     @settings(deadline=None, max_examples=60)
@@ -696,17 +695,18 @@ class TestRealify:
         assert np.array_equal(complexify_vec(realify_vec(v)), v)
 
     def test_block_structure_validated(self):
-        bad = np.arange(16.0).reshape(4, 4)
+        # a bound checks a real matrix's layout: even dimensions, then blocks
         with pytest.raises(ValueError, match="block structure"):
-            RealifiedModel(matrix=bad, includes_mutual_coupling=False)
+            bounds.mcrb_trace(np.arange(16.0).reshape(4, 4), 1.0)
+        with pytest.raises(ValueError, match=r"^realified matrix must be 2G x 2N$"):
+            bounds.mcrb_trace(np.ones((5, 2)), 1.0)
 
     def test_complex_model_recovery(self):
         rng = np.random.default_rng(29)
         b = crandn(rng, (4, 2))
-        model = realify(b, includes_mutual_coupling=True)
-        assert np.array_equal(model.complex_model, b)
-        assert model.num_configurations == 4
-        assert model.num_elements == 2
+        d = realify(b, includes_mutual_coupling=True)
+        assert d.shape == (8, 4)
+        assert np.array_equal(channel._complex_form(d), b)
 
 
 class TestScenarioModels:

@@ -1006,7 +1006,6 @@ class TestCli:
             raise RuntimeError("the real block form was built")
 
         monkeypatch.setattr(channel, "realify", refuse)
-        monkeypatch.setattr(channel.RealifiedModel, "__post_init__", refuse)
         monkeypatch.chdir(tmp_path)
         cfg = self.write_config(tmp_path)
         assert main(argv + ["--config", cfg, "--out", os.devnull]) == 0
@@ -1343,7 +1342,8 @@ class TestParallelSweeps:
         # calls have 16 chunks each, and its chunks on the worker's own
         # thread wait until a CPU is spare (the other worker has run out of
         # tasks), so a helper thread must run some of them; the rows are
-        # the inline rows
+        # the inline rows. The wait ends 10 s after the point's build
+        # starts, so a pool that never frees a CPU fails the test quickly
         scenario = small_scenario.with_overrides(
             num_transmissions=16 * channel.JACOBI_CHUNK)
         request = SweepRequest(kind="bias_vs_spacing", scenario=scenario,
@@ -1352,21 +1352,22 @@ class TestParallelSweeps:
         inline = run_bias_vs_spacing(request).rows
 
         helper_chunks = multiprocessing.get_context("fork").Value("i", 0)
-        spacing = {}
+        point = {}
         build, contraction = experiments._build_point, channel._contraction
 
         def build_point(sc):
-            spacing["d"] = sc.config["ris_spacing_over_lambda"]
+            point["d"] = sc.config["ris_spacing_over_lambda"]
+            point["deadline"] = time.monotonic() + 10.0
             return build(sc)
 
         def chunk(mag, coupling):
             if threading.current_thread() is not threading.main_thread():
                 with helper_chunks.get_lock():
                     helper_chunks.value += 1
-            elif spacing["d"] == 0.02:
-                spare, deadline = _parallel._worker[1], time.monotonic() + 10.0
+            elif point["d"] == 0.02:
+                spare = _parallel._worker[1]
                 while (spare.get_value() == 0 and helper_chunks.value == 0
-                       and time.monotonic() < deadline):
+                       and time.monotonic() < point["deadline"]):
                     time.sleep(0.001)
             return contraction(mag, coupling)
 
