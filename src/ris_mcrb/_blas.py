@@ -2,8 +2,9 @@
 count a sweep runs them at is set in ``_parallel``.
 
 The double-complex routines (``getrf``, ``gecon``, ``getrs``, ``trcon``,
-``trtrs``, ``gemm`` and, inside ``qr``, ``geqrf`` and ``ungqr``) come
-straight from scipy's two compiled wrapper modules,
+``trtrs``, ``gemm`` and, inside ``qr``, ``geqrf`` and ``ungqr``) and the
+real symmetric eigensolver ``syevr`` (``dsyevr``) come straight from
+scipy's two compiled wrapper modules,
 ``scipy.linalg._flapack`` and ``scipy.linalg._fblas``. They are loaded
 from their files; the ``scipy.linalg`` package is never imported, since
 its ``__init__`` also loads scipy's array-API layer and with it
@@ -14,7 +15,7 @@ a later ``import scipy.linalg`` reuses the same extension object (its
 ``scipy.linalg._flapack`` itself stays unset), and a module that is
 already imported is reused here. ``get_lapack_funcs`` and
 ``get_blas_funcs`` return these same routine objects for complex128
-arrays, and ``qr`` makes the LAPACK calls of
+arrays (float64 for ``syevr``), and ``qr`` makes the LAPACK calls of
 ``scipy.linalg.qr(a, mode="economic", check_finite=False)``.
 """
 
@@ -56,6 +57,7 @@ _fblas = _scipy_linalg_extension("_fblas")
 
 getrf, gecon, getrs = _flapack.zgetrf, _flapack.zgecon, _flapack.zgetrs
 trcon, trtrs = _flapack.ztrcon, _flapack.ztrtrs
+syevr = _flapack.dsyevr
 gemm = _fblas.zgemm
 
 

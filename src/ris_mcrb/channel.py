@@ -15,9 +15,10 @@ reciprocal condition number of a diagonal matrix, ``min|d| / max|d|``. A
 coupling-aware system ``D_g + M`` (diagonal plus mutual part) is solved by
 the iteration ``y <- (z_rs - y M) / D_g`` when its contraction bound proves
 it well conditioned, for a chunk of configurations per matrix product, and
-otherwise through an LAPACK LU factorization with a 1-norm reciprocal
-condition estimate. Every guard rejects a configuration below
-``RCOND_FLOOR``; nothing in production paths forms an explicit inverse.
+otherwise through an LAPACK LU factorization, guarded by a 1-norm
+reciprocal condition estimate unless the passivity of the impedances and
+the loads' resistance certify the row. Every guard rejects a configuration
+below ``RCOND_FLOOR``; nothing in production paths forms an explicit inverse.
 Sweep workers also run ``build_B``'s chunks on helper threads (``_parallel``).
 RNG streams are derived from a master seed with fixed spawn keys so that
 load sampling and noise generation never share or reorder draws. Trial t
@@ -28,12 +29,15 @@ children's PCG64 states in bulk and reuses one generator per call.
 
 from __future__ import annotations
 
+import math
+import threading
+
 import numpy as np
 # imported with the package: numpy 2 would import it on first use, inside
 # the first sweep that draws loads or noise
 import numpy.random  # noqa: F401
 
-from ._blas import gecon, getrf, getrs
+from ._blas import gecon, getrf, getrs, syevr
 from ._parallel import run_chunks
 from .errors import DegenerateDesignError, SingularModelError
 from .impedance import ImpedanceSet
@@ -72,8 +76,15 @@ RCOND_FLOOR = 1e-13
 CONTRACTION_LIMIT = 0.6
 JACOBI_CHUNK = 32
 JACOBI_MAX_SWEEPS = 100
-# Relative accuracy the iteration's error bound must reach (2^-52).
-_STOP_REL = float(np.finfo(float).eps)
+# Machine epsilon (2^-52), which is also the relative accuracy the
+# iteration's error bound must reach.
+_EPS = float(np.finfo(float).eps)
+_STOP_REL = _EPS
+# A coupling-aware LU row skips gecon when its passivity certificate proves
+# a 1-norm reciprocal condition number of at least this multiple of
+# RCOND_FLOOR; the factor covers the rounding in the LU factors, which alone
+# can put gecon's estimate below the true value.
+CERTIFICATE_MARGIN = 100.0
 
 
 def substream(master_seed: int, *path: int) -> np.random.Generator:
@@ -205,17 +216,63 @@ def _singular(context: str, rcond) -> SingularModelError:
     )
 
 
-def _factor(z: np.ndarray, anorm: float, context: str):
+def _factor(z: np.ndarray, anorm: float, context: str, certified: bool):
     """LU-factor the Fortran-ordered ``z`` in place and guard it.
 
     ``anorm`` is the 1-norm of ``z`` before factoring; the 1-norm
-    reciprocal condition estimate must reach ``RCOND_FLOOR``.
+    reciprocal condition estimate must reach ``RCOND_FLOOR``. A
+    ``certified`` system is proven to reach it (``build_B``), so only
+    getrf's ``info`` is checked; should that fail, gecon's estimate is
+    reported as for any other system.
     """
     lu, piv, info = getrf(z, overwrite_a=True)
+    if certified and info == 0:
+        return lu, piv
     rcond, con_info = gecon(lu, anorm)
     if info != 0 or con_info != 0 or not np.isfinite(rcond) or rcond < RCOND_FLOOR:
         raise _singular(context, rcond)
     return lu, piv
+
+
+def _resistance_floor(mutual: np.ndarray, base_diag: np.ndarray) -> float:
+    """A lower bound on the smallest eigenvalue of ``R0``, the real
+    symmetric matrix ``Re(mutual)`` (zero diagonal) with ``Re(base_diag)``
+    on its diagonal, or ``-inf`` when ``mutual`` is not exactly
+    complex-symmetric or ``R0`` is not finite.
+
+    LAPACK's ``syevr`` gives the smallest eigenvalue of a matrix within
+    ``p(N) eps ||R0||_2`` of ``R0``; the bound subtracts ``N^2 eps
+    ||R0||_F``, which exceeds that backward error for any modest ``p``.
+    """
+    n = mutual.shape[0]
+    r0 = np.array(mutual.real, order="F")
+    r0[np.arange(n), np.arange(n)] = base_diag.real
+    if not np.isfinite(r0).all() or not np.array_equal(mutual, mutual.T):
+        return -math.inf
+    margin = n * n * _EPS * np.linalg.norm(r0)
+    w, _, _, _, info = syevr(r0, compute_v=0, range="I", il=1, iu=1, overwrite_a=1)
+    return float(w[0]) - margin if info == 0 else -math.inf
+
+
+def _certified(r0: float, load_re: np.ndarray, mag: np.ndarray,
+               anorm: np.ndarray) -> np.ndarray:
+    """Mask of the systems ``diag(d_g) + M`` whose 1-norm reciprocal
+    condition number provably reaches ``CERTIFICATE_MARGIN * RCOND_FLOOR``,
+    given ``r0`` from ``_resistance_floor``, the loads' resistances
+    ``load_re``, ``mag = |d|`` and the systems' 1-norms ``anorm``.
+
+    ``delta_g = r0 + min_j Re(loads_gj) - eps max_j |d_gj|`` bounds the
+    smallest eigenvalue of the Hermitian part below: Weyl's inequality
+    covers the diagonal shift, and ``eps |d|`` the rounding of each sum
+    ``Re(base_diag) + Re(loads)``. Then ``sigma_min >= delta_g``, so
+    ``||A^{-1}||_1 <= sqrt(N) / delta_g`` and ``rcond >= delta_g / (sqrt(N)
+    anorm_g)``. A NaN or infinite entry never certifies.
+    """
+    n = load_re.shape[1]
+    with np.errstate(invalid="ignore"):
+        delta = r0 + load_re.min(axis=1) - _EPS * mag.max(axis=1)
+        return (delta > 0.0) & (
+            delta >= CERTIFICATE_MARGIN * RCOND_FLOOR * math.sqrt(n) * anorm)
 
 
 def _weighted_norms2(y: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -283,10 +340,27 @@ def build_B(z_rs, z_ss_self, z_ss_mutual, loads) -> np.ndarray:
     number ``rcond(D_g) (1 - q_g) / ((1 + q_g) N)`` reaches ``RCOND_FLOOR``
     is iterated, ``JACOBI_CHUNK`` rows at a time (``_jacobi_rows``). Every
     other row, and every iterated row that misses the stopping rule within
-    ``JACOBI_MAX_SWEEPS``, is LU-factored and guarded by its 1-norm
-    reciprocal condition estimate; the system is complex-symmetric, so the
-    transposed solve that a row requires coincides with the plain solve of
-    the factored system. Either singularity guard raises
+    ``JACOBI_MAX_SWEEPS``, is LU-factored; the system is complex-symmetric,
+    so the transposed solve that a row requires coincides with the plain
+    solve of the factored system. An LU row is guarded by its 1-norm
+    reciprocal condition estimate (LAPACK's ``gecon``) unless passivity
+    certifies it. With ``M`` complex-symmetric, the Hermitian part of
+    ``D_g + M`` is ``R0 + diag(Re loads_g)``, where ``R0`` is ``Re(M)`` with
+    the real part of the loads-free diagonal on its diagonal. The
+    impedances of a passive multiport make ``R0`` positive semidefinite:
+    the engine's smallest eigenvalue of ``Re Z_ss`` stays above ``-N
+    impedance.REL_TOLERANCE max|Z_ij|``, -6.1e-6 ohm on the default
+    surfaces at d <= 0.1 lambda, far below the scenario's minimum load
+    resistance (0.1 ohm). So ``delta_g = lambda_min(R0) + min_j
+    Re(loads_gj)``, less the rounding of the eigenvalue (``_resistance_floor``)
+    and of the diagonal sums, bounds ``sigma_min(D_g + M)``, and the row's
+    1-norm reciprocal condition number is at least ``delta_g / (sqrt(N)
+    ||D_g + M||_1)``; gecon's estimate is never below the true value but
+    for rounding. A row whose bound reaches ``CERTIFICATE_MARGIN *
+    RCOND_FLOOR`` skips gecon and keeps the check of getrf's ``info``
+    (``_certified``); every other row, as when ``M`` is not symmetric or a
+    value is not finite, runs gecon. ``lambda_min(R0)`` is computed once,
+    and only if some row is LU-factored. Either singularity guard raises
     ``SingularModelError`` naming the configuration when the value is below
     ``RCOND_FLOOR`` or not finite; where several are, it names the
     earliest, as a serial loop would.
@@ -323,12 +397,21 @@ def build_B(z_rs, z_ss_self, z_ss_mutual, loads) -> np.ndarray:
     off_sums = off_abs.sum(axis=0)
     coupling = np.square(off_abs, out=off_abs)
     b = np.empty((loads.shape[0], n), dtype=complex)
+    floor, floor_lock = [], threading.Lock()
+
+    def resistance_floor():
+        # computed once, by the first chunk that LU-factors a row
+        with floor_lock:
+            if not floor:
+                floor.append(_resistance_floor(mutual, base_diag))
+            return floor[0]
 
     def solve_chunk(k):
         # writes rows [start, start + JACOBI_CHUNK) of b and reads nothing
         # another chunk writes, so chunks may run on any thread in any order
         start = k * JACOBI_CHUNK
-        d = base_diag + loads[start:start + JACOBI_CHUNK]
+        chunk_loads = loads[start:start + JACOBI_CHUNK]
+        d = base_diag + chunk_loads
         mag = np.abs(d)
         q, iterate = _contraction(mag, coupling)
         to_lu = ~iterate
@@ -337,14 +420,18 @@ def build_B(z_rs, z_ss_self, z_ss_mutual, loads) -> np.ndarray:
             rows, done = _jacobi_rows(z_rs, mutual, d[idx], q[idx])
             b[start + idx[done]] = rows[done]
             to_lu[idx] = ~done
+        idx = np.flatnonzero(to_lu)
+        if not idx.size:
+            return
+        anorms = (off_sums + mag[idx]).max(axis=1)
+        certified = _certified(resistance_floor(), chunk_loads[idx].real,
+                               mag[idx], anorms)
         z = np.empty_like(mutual)
-        for i in np.flatnonzero(to_lu):
-            g = start + int(i)
+        for i, anorm, sure in zip(idx.tolist(), anorms, certified.tolist()):
             np.copyto(z, mutual)
             z[diag, diag] = d[i]
-            anorm = (off_sums + mag[i]).max()
-            lu, piv = _factor(z, anorm, f"configuration {g}")
-            b[g], _ = getrs(lu, piv, z_rs)
+            lu, piv = _factor(z, anorm, f"configuration {start + i}", sure)
+            b[start + i], _ = getrs(lu, piv, z_rs)
 
     run_chunks(solve_chunk, -(-loads.shape[0] // JACOBI_CHUNK))
     return b

@@ -10,11 +10,15 @@ grids' order.
 One grid loop (``_grid``) serves every kind. A point's models come from
 ``_build_point`` (``model_pair``'s complex ``(d_true, d_est, x_true)``)
 and live only in its lazy ``bounds.FactoredPair``, so each trace is
-computed once and only if a column needs it. The RIS loads come from
-the load substream of the master seed, so every spacing and size sees
-the same draws. Noise streams are keyed by the power value, and each
-power's trials draw once for all its spacings (``bounds.mc_rmse_pairs``),
-so dropping a grid point never changes the remaining rows.
+computed once and only if a column needs it. A point builds only what its
+kind's columns read (``_Kind.mismatched``): ``crlb-vs-spacing`` reads the
+coupling-aware model alone, so it builds neither the Tx coupling vector
+z_st nor the coupling-unaware model, and a matched power sweep builds no
+coupling-unaware model. The RIS loads come from the load substream of the
+master seed, so every spacing and size sees the same draws. Noise streams
+are keyed by the power value, and each power's trials draw once for all
+its spacings (``bounds.mc_rmse_pairs``), so dropping a grid point never
+changes the remaining rows.
 
 The runners run BLAS single-threaded and spread their work over forked
 worker processes (``_parallel``). A spacing x size sweep runs one task
@@ -40,10 +44,15 @@ import numpy as np
 from . import channel
 from ._parallel import parallel_map, single_threaded_blas
 from .bounds import BoundReport, FactoredPair, mc_rmse_pairs, snr
-from .channel import model_pair, noise_seed, sample_loads
+from .channel import build_B, noise_seed, sample_loads
 from .errors import ComputationError, ConfigError, annotate
-from .impedance import build_impedance_set, mutual_impedance
+from .impedance import coupling_vector, impedance_matrix, mutual_impedance
 from .scenario import Radiator, Scenario, dbm_to_watts
+
+
+# The bound columns that read a point's estimation model and its true
+# channel z_st; crlb reads the true model alone.
+_MISMATCH_COLUMNS = frozenset({"tr_mcrb", "tr_bias", "lb", "sqrt_tr_bias", "rmse"})
 
 
 @dataclass(frozen=True)
@@ -51,6 +60,12 @@ class _Kind:
     power_rows: bool          # power x spacing at the scenario's size, else spacing x size
     reads: tuple[str, ...]    # the SweepRequest fields it reads
     columns: tuple[str, ...]  # its CSV columns
+
+    @property
+    def mismatched(self) -> bool:
+        """Whether its points build z_st and, unless matched, the
+        estimation model: some column reads them."""
+        return not _MISMATCH_COLUMNS.isdisjoint(self.columns)
 
 
 # What each sweep kind is. A spacing x size sweep runs at its one power, if
@@ -132,10 +147,20 @@ class SweepResult:
     rows: list[tuple[dict, BoundReport | None]]
 
 
-def _build_point(sc: Scenario):
-    impedances = build_impedance_set(sc.tx, sc.rx, sc.ris_radiators(),
-                                     sc.constants)
-    return model_pair(impedances, sample_loads(sc))
+def _build_point(sc: Scenario, z_st: bool, estimation: bool):
+    """``(d_true, d_est, x_true)`` of one point, as ``model_pair`` builds
+    them, except that the coupling-unaware ``d_est`` is built only if
+    ``estimation`` and the true channel (the Tx coupling vector z_st) only
+    if ``z_st``; each one not built is None. The impedances are evaluated
+    in ``build_impedance_set``'s order, so the first that fails is the same."""
+    elements = sc.ris_radiators()
+    z_self, z_mutual = impedance_matrix(elements, sc.constants)
+    x_true = coupling_vector(sc.tx, elements, sc.constants) if z_st else None
+    z_rs = coupling_vector(sc.rx, elements, sc.constants)
+    loads = sample_loads(sc)
+    d_true = build_B(z_rs, z_self, z_mutual, loads)
+    d_est = build_B(z_rs, z_self, None, loads) if estimation else None
+    return d_true, d_est, x_true
 
 
 def _report(pair: FactoredPair, columns, p_t=None, gamma=None, rmse=None) -> BoundReport:
@@ -159,6 +184,7 @@ def _grid(request: SweepRequest, read, model_sink=None) -> list[tuple]:
     stay in one process; a power sweep keeps its pairs, so it builds them,
     and calls ``model_sink``, here."""
     power = SWEEP_KINDS[request.kind].power_rows
+    mismatched = SWEEP_KINDS[request.kind].mismatched
     sizes = [(request.scenario.ris.n1, request.scenario.ris.n2)] if power else request.sizes
 
     def where(d, n1, n2):
@@ -176,7 +202,8 @@ def _grid(request: SweepRequest, read, model_sink=None) -> list[tuple]:
 
     def pair_at(sc, d, n1, n2) -> FactoredPair:
         """The point's pair, the only holder of its models."""
-        d_true, d_est, x_true = _build_point(sc)
+        d_true, d_est, x_true = _build_point(sc, mismatched,
+                                             mismatched and not request.matched)
         d_est = d_true if request.matched else d_est
         if model_sink is not None:
             model_sink(d, n1, n2, d_true, d_est)

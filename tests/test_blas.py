@@ -79,10 +79,13 @@ def test_routines_are_scipys_complex128_routines(scipy_first):
         z = np.zeros((2, 2), dtype=complex)
         ours = {"getrf": channel.getrf, "gecon": channel.gecon,
                 "getrs": channel.getrs, "trcon": bounds.trcon,
-                "trtrs": bounds.trtrs, "gemm": bounds.gemm}
+                "trtrs": bounds.trtrs, "gemm": bounds.gemm,
+                "syevr": channel.syevr}
         scipys = {name: scipy.linalg.get_lapack_funcs((name,), (z,))[0]
                   for name in ("getrf", "gecon", "getrs", "trcon", "trtrs")}
         scipys["gemm"] = scipy.linalg.get_blas_funcs(("gemm",), (z,))[0]
+        # the one real routine: the symmetric eigensolver, for float64
+        scipys["syevr"] = scipy.linalg.get_lapack_funcs(("syevr",), (z.real,))[0]
         print(json.dumps([name for name in ours if ours[name] is not scipys[name]]))
     """, str(scipy_first))
     assert mismatched == []

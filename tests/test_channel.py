@@ -302,9 +302,9 @@ def factor_contexts(monkeypatch):
     real = channel._factor
     contexts = []
 
-    def wrapper(z, anorm, context):
+    def wrapper(z, anorm, context, certified):
         contexts.append(context)
-        return real(z, anorm, context)
+        return real(z, anorm, context, certified)
 
     monkeypatch.setattr(channel, "_factor", wrapper)
     return contexts
@@ -577,6 +577,7 @@ class TestBuildBHelpers:
             serial = build_B(z_rs, z_self, z_mut, loads)
             monkeypatch.setattr(_parallel, "_worker", (None, spare))
             on_main = chunk_threads(monkeypatch, "main")
+            floors = counting(monkeypatch, "_resistance_floor")
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
@@ -586,6 +587,8 @@ class TestBuildBHelpers:
         assert not all(on_main)
         for b in helped:
             assert np.array_equal(b, serial)
+        # the LU rows' shared certificate is computed once per call
+        assert len(floors) == 3
         assert_helpers_done(spare, 8)
 
     def test_workers_holding_every_unit_leave_no_helper(self, monkeypatch):
@@ -615,12 +618,12 @@ class TestBuildBHelpers:
         failed, begun = [], []
         late_failed = threading.Event()
 
-        def wrapper(z, anorm, context):
+        def wrapper(z, anorm, context, certified):
             begun.append(int(context.split()[1]))
             if context == "configuration 5":
                 assert late_failed.wait(10.0)
             try:
-                return real(z, anorm, context)
+                return real(z, anorm, context, certified)
             except SingularModelError:
                 failed.append(context)
                 raise
@@ -638,6 +641,137 @@ class TestBuildBHelpers:
         assert rconds[1] > 2.0 * rconds[0]
         assert exc_info.value.rcond == pytest.approx(rconds[0], rel=1e-12, abs=0.0)
         assert_helpers_done(spare, 2)
+
+
+def certificate_off():
+    """Certify no row, so every LU row runs gecon (a test hook)."""
+    return mock.patch.object(channel, "_resistance_floor", lambda *_: -np.inf)
+
+
+def recorded_factors():
+    """Record ``(certified, system)`` of every LU factorization, the system
+    copied before it is factored in place."""
+    real = channel._factor
+    record = []
+
+    def wrapper(z, anorm, context, certified):
+        record.append((certified, z.copy()))
+        return real(z, anorm, context, certified)
+
+    return mock.patch.object(channel, "_factor", wrapper), record
+
+
+def build_or_error(*args):
+    """build_B's rows, or its error as (type, message, rcond)."""
+    try:
+        return build_B(*args)
+    except SingularModelError as exc:
+        return type(exc), str(exc), repr(exc.rcond)
+
+
+@st.composite
+def certificate_systems(draw):
+    """Complex-symmetric systems ``diag(z_self + loads_g) + M`` whose real
+    part ``R0`` is definite, semidefinite or indefinite, with rows of
+    positive, zero, negative and near-singular load resistance, some with
+    one reactance large enough to bring rcond near ``RCOND_FLOOR``."""
+    n = draw(st.integers(1, 12))
+    g = draw(st.integers(1, 3 * channel.JACOBI_CHUNK))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shift = draw(st.sampled_from([-1.0, -1e-9, 0.0, 1e-9, 1.0]))
+    z_mut = draw(st.sampled_from([0.1, 1.0, 10.0])) * crandn(rng, (n, n))
+    z_mut = z_mut + z_mut.T
+    z_mut[np.arange(n), np.arange(n)] = 0.0
+    # equal self resistances put the smallest eigenvalue of R0 at shift
+    r_self = shift - (np.linalg.eigvalsh(z_mut.real).min() if n > 1 else 0.0)
+    z_self = r_self + 1j * rng.uniform(-5.0, 5.0, n)
+    resistance = rng.uniform(0.1, 10.0, (g, n))
+    kinds = rng.integers(0, 4, g)
+    resistance[kinds == 1] = 0.0
+    resistance[kinds == 2] *= -0.1
+    resistance[kinds == 3] = 1e-15
+    reactance = rng.uniform(-5.0, 5.0, (g, n))
+    large = rng.random(g) < 0.5
+    reactance[large, rng.integers(0, n, large.sum())] = 10.0 ** rng.uniform(6.0, 14.0, large.sum())
+    return crandn(rng, (n,)), z_self, z_mut, resistance + 1j * reactance
+
+
+class TestPassivityCertificate:
+    """An LU row whose loads' resistance certifies its condition skips
+    gecon, and build_B's rows and errors stay those of the gecon guard."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(certificate_systems())
+    def test_certified_rows_pass_gecon_and_nothing_changes(self, system):
+        spare = multiprocessing.get_context().Semaphore(2)
+        recording, record = recorded_factors()
+        with mock.patch.object(_parallel, "_worker", (None, spare)):
+            with recording:
+                got = build_or_error(*system)
+            with certificate_off():
+                want = build_or_error(*system)
+        for certified, z in record:
+            if certified:
+                assert gecon_rcond(z) >= RCOND_FLOOR
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+
+    def test_default_point_runs_no_gecon(self, point_002, monkeypatch):
+        # every row of the 4x4 0.02 lambda point takes the LU path, and the
+        # loads' 0.1 ohm minimum resistance certifies each one
+        imp = point_002.impedances
+        getrfs = counting(monkeypatch, "getrf")
+        gecons = counting(monkeypatch, "gecon")
+        b = build_B(imp.z_rs, imp.z_ss_self, imp.z_ss_mutual, point_002.loads)
+        assert len(gecons) == 0
+        assert len(getrfs) == len(point_002.loads) == 256
+        want = lu_rows(imp.z_rs, imp.z_ss_self, imp.z_ss_mutual, point_002.loads)
+        assert np.array_equal(b, want)
+
+    def test_row_without_positive_bound_runs_gecon(self, monkeypatch):
+        # R0 = 2 (J - I) + 2 I = 2 J has smallest eigenvalue 0, and the
+        # coupling is too strong to iterate: the rows with zero and negative
+        # load resistance have delta_g <= 0 and run gecon, the row with 1 ohm
+        # is certified
+        n = 3
+        z_self = np.full(n, 2.0 + 3.0j)
+        z_mut = 2.0 * (np.ones((n, n)) - np.eye(n)) + 0j
+        loads = np.array([[0.0] * n, [1.0] * n, [-0.5] * n]) + 0j
+        assert not iterated_rows(z_self, z_mut, loads).any()
+        recording, record = recorded_factors()
+        gecons = counting(monkeypatch, "gecon")
+        z_rs = np.arange(1.0, n + 1.0) + 0j
+        with recording:
+            b = build_B(z_rs, z_self, z_mut, loads)
+        assert [certified for certified, _ in record] == [False, True, False]
+        assert len(gecons) == 2
+        assert np.array_equal(b, lu_rows(z_rs, z_self, z_mut, loads))
+
+    def test_non_symmetric_mutual_part_certifies_nothing(self, monkeypatch):
+        n = 4
+        z_self = np.full(n, 5.0 + 1.0j)
+        z_mut = 2.0 * (np.ones((n, n)) - np.eye(n)) + 0j
+        z_mut[0, 1] += 1e-3
+        loads = np.full((2, n), 1.0 + 0j)
+        recording, record = recorded_factors()
+        with recording:
+            build_B(np.ones(n, dtype=complex), z_self, z_mut, loads)
+        assert [certified for certified, _ in record] == [False, False]
+
+
+def counting(monkeypatch, name):
+    """Replace channel.name by a wrapper that records each call's args."""
+    real = getattr(channel, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(channel, name, wrapper)
+    return calls
 
 
 class TestFrozenFields:

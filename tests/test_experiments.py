@@ -510,12 +510,13 @@ class TestPowerSweepSharing:
 
 
 def spoiled_builder(monkeypatch, index):
-    """Make ``_build_point`` return model ``index`` (0 true, 1 estimation)
-    rank deficient, by repeating its first column."""
+    """Make ``_build_point`` build every model, whatever the sweep reads,
+    and return model ``index`` (0 true, 1 estimation) rank deficient, by
+    repeating its first column."""
     build = experiments._build_point
 
-    def spoiled(*args):
-        models = list(build(*args))
+    def spoiled(sc, *_):
+        models = list(build(sc, True, True))
         models[index] = models[index].copy()
         models[index][:, 1] = models[index][:, 0]
         return tuple(models)
@@ -564,7 +565,8 @@ class TestOnePairPerPoint:
             assert rows == clean
         with pytest.raises(DegenerateDesignError, match="rank deficient"):
             bounds.inverse_gram_trace(experiments._build_point(
-                small_scenario.with_overrides(ris_spacing_over_lambda=0.5))[unread])
+                small_scenario.with_overrides(ris_spacing_over_lambda=0.5),
+                True, True)[unread])
 
     @pytest.mark.parametrize("runner,unread,where", [
         (run_bias_vs_spacing, 1, r"spacing 0\.05 lambda, size 2x2: estimation model"),
@@ -604,12 +606,57 @@ class TestOnePairPerPoint:
         def tracking(*args):
             assert all(ref() is None for ref in refs), "a previous point's model is alive"
             d_true, d_est, x_true = build(*args)
-            refs.extend([weakref.ref(d_true), weakref.ref(d_est)])
+            # crlb-vs-spacing builds no estimation model
+            refs.extend(weakref.ref(m) for m in (d_true, d_est) if m is not None)
             return d_true, d_est, x_true
 
         monkeypatch.setattr(experiments, "_build_point", tracking)
         rows = runner(self.spacing_request(small_scenario, runner)).rows
-        assert len(refs) == 2 * len(rows) > 0
+        models = 2 if runner is run_bias_vs_spacing else 1
+        assert len(refs) == models * len(rows) > 0
+
+
+class TestBuildsOnlyWhatItReads:
+    """A point builds the Tx coupling vector z_st and the coupling-unaware
+    model only for a sweep whose columns read them."""
+
+    SPACINGS = [0.05, 0.5]
+    SIZES = [(2, 2), (3, 2)]
+
+    def request(self, scenario, runner, matched):
+        if runner is run_bias_vs_spacing:
+            return SweepRequest(kind="bias_vs_spacing", scenario=scenario,
+                                spacing_grid=self.SPACINGS, sizes=self.SIZES)
+        if runner is run_crlb_vs_spacing:
+            return SweepRequest(kind="crlb_vs_spacing", scenario=scenario,
+                                power_grid=[40.0], spacing_grid=self.SPACINGS,
+                                sizes=self.SIZES)
+        trials = {"trials": 2} if runner is run_mc_rmse else {}
+        return power_request(scenario, runner, power_grid=[0.0, 40.0],
+                             spacing_grid=self.SPACINGS, matched=matched, **trials)
+
+    @pytest.mark.parametrize("runner,matched,tx,unaware", [
+        (run_crlb_vs_spacing, False, False, False),
+        (run_bias_vs_spacing, False, True, True),
+        (run_lb_vs_power, False, True, True),
+        (run_lb_vs_power, True, True, False),
+        (run_mc_rmse, False, True, True),
+        (run_mc_rmse, True, True, False),
+    ], ids=["crlb", "bias", "lb", "lb-matched", "mc", "mc-matched"])
+    def test_builds(self, small_scenario, monkeypatch, runner, matched, tx, unaware):
+        inline_sweeps(monkeypatch)
+        couplings = counting_wrapper(monkeypatch, experiments, "coupling_vector")
+        builds = counting_wrapper(monkeypatch, experiments, "build_B")
+        rows = runner(self.request(small_scenario, runner, matched)).rows
+        points = (len(rows) if runner in (run_bias_vs_spacing, run_crlb_vs_spacing)
+                  else len(self.SPACINGS))
+        tx_calls = [args for args in couplings
+                    if np.array_equal(args[0].position, small_scenario.tx.position)]
+        unaware_calls = [args for args in builds if args[2] is None]
+        assert len(couplings) == (2 if tx else 1) * points
+        assert len(tx_calls) == (points if tx else 0)
+        assert len(unaware_calls) == (points if unaware else 0)
+        assert len(builds) - len(unaware_calls) == points
 
 
 class TestImpedanceSweep:
@@ -1323,10 +1370,10 @@ class TestParallelSweeps:
         spoiled_builder(monkeypatch, 1)
         spoiled = experiments._build_point
 
-        def slow_first(sc):
+        def slow_first(sc, *args):
             if sc.config["ris_spacing_over_lambda"] == 0.05:
                 time.sleep(0.2)
-            return spoiled(sc)
+            return spoiled(sc, *args)
 
         monkeypatch.setattr(experiments, "_build_point", slow_first)
         pooled_sweeps(monkeypatch)
@@ -1355,10 +1402,10 @@ class TestParallelSweeps:
         point = {}
         build, contraction = experiments._build_point, channel._contraction
 
-        def build_point(sc):
+        def build_point(sc, *args):
             point["d"] = sc.config["ris_spacing_over_lambda"]
             point["deadline"] = time.monotonic() + 10.0
-            return build(sc)
+            return build(sc, *args)
 
         def chunk(mag, coupling):
             if threading.current_thread() is not threading.main_thread():

@@ -444,6 +444,19 @@ class TestImpedanceMatrix:
         assert previous != latest
         assert f"last estimates {complex(previous)} and {complex(latest)}" in str(exc_info.value)
 
+    @pytest.mark.parametrize("n1, n2", [(2, 1), (4, 4), (12, 12)])
+    def test_real_part_is_positive_semidefinite(self, n1, n2):
+        # a passive multiport radiates power for every current vector, so
+        # Re Z_ss is positive semidefinite up to the quadrature tolerance;
+        # channel.build_B's certificate rests on this
+        for d in DEFAULT_SPACING_GRID:
+            sc = scenario_from_config({"ris_n1": n1, "ris_n2": n2,
+                                       "ris_spacing_over_lambda": d})
+            z_self, z_mut = impedance_matrix(sc.ris_radiators(), sc.constants)
+            z = z_mut + np.diag(z_self)
+            floor = -n1 * n2 * impedance.REL_TOLERANCE * np.abs(z).max()
+            assert np.linalg.eigvalsh(z.real).min() >= floor, d
+
 
 class TestCouplingVector:
     def grid_elements(self, d):
