@@ -35,12 +35,12 @@ from functools import cached_property
 import numpy as np
 
 from ._blas import gemm, qr, trcon, trtrs
-from .channel import RCOND_FLOOR, _complex_form, realify_vec, trial_generators
+from .channel import RCOND_FLOOR, _complex_form, complexify_vec, realify_vec, trial_generators
 from .errors import DegenerateDesignError
 from .scenario import Scenario
 
 # Monte-Carlo trials estimated together: at 256 observations the block's
-# draws and right-hand sides take 0.5 MB, so they stay in cache.
+# draws, complex noise and right-hand side take 0.75 MB and stay in cache.
 TRIAL_BLOCK = 64
 
 
@@ -306,27 +306,24 @@ def mc_rmse_pairs(
         if count != counts[0]:
             raise ValueError(f"pairs must share the number of observations: "
                              f"pair 0 has {counts[0]}, pair {k} has {count}")
-    means = [np.sqrt(p_t) * signal for _, signal, _ in models]
     sqrt_pt = math.sqrt(p_t)
+    means = [sqrt_pt * signal for _, signal, _ in models]
 
-    # one row per trial: 2G standard normals in the stacked [Re; Im] order
-    # of the real form, scaled in place, then each pair's mean plus noise
-    observations = counts[0]
+    # one row per trial: 2G standard normals, scaled in place, then one
+    # complex noise block (complexify_vec) to which each pair adds its mean
     sigma = math.sqrt(scenario.noise.sigma2 / 2.0)
     block = min(TRIAL_BLOCK, trials)
     totals = [0.0] * len(models)
-    draws = np.empty((block, 2 * observations))
-    rhs = np.empty((block, observations), dtype=complex)
+    draws = np.empty((block, 2 * counts[0]))
     rngs = trial_generators(noise_seed, trials)
     for start in range(0, trials, block):
-        noise, r = draws[:trials - start], rhs[:trials - start]
-        for row, rng in zip(noise, rngs):
+        rows = draws[:trials - start]
+        for row, rng in zip(rows, rngs):
             rng.standard_normal(out=row)
-        noise *= sigma
+        rows *= sigma
+        noise = complexify_vec(rows)
         for k, ((factor, _, z), mean) in enumerate(zip(models, means)):
-            np.add(mean.real, noise[:, :observations], out=r.real)
-            np.add(mean.imag, noise[:, observations:], out=r.imag)
-            err = factor.solve_rows(r)
+            err = factor.solve_rows(noise + mean)
             err /= sqrt_pt
             err -= z[:, None]
             err_re, err_im = err.real, err.imag

@@ -455,12 +455,13 @@ def realify_vec(v) -> np.ndarray:
 
 
 def complexify_vec(x) -> np.ndarray:
-    """Inverse of realify_vec."""
+    """Inverse of realify_vec along the last axis: a stack of realified
+    rows, such as a trial block's noise draws, is one complex noise block."""
     x = np.asarray(x, dtype=float)
-    if x.shape[0] % 2:
+    if x.shape[-1] % 2:
         raise ValueError("realified vector must have even length")
-    n = x.shape[0] // 2
-    return x[:n] + 1j * x[n:]
+    n = x.shape[-1] // 2
+    return x[..., :n] + 1j * x[..., n:]
 
 
 def as_model_matrix(d) -> np.ndarray:

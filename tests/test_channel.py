@@ -145,6 +145,12 @@ class TestTrialGenerators:
         with pytest.raises(ValueError, match="2\\*\\*32"):
             trial_generators(noise_seed(0, 30.0), 2**32)
 
+    def test_power_below_the_keyable_range_rejected(self):
+        # the key is the power in 0.1 mdBm, offset by 2**31
+        assert noise_seed(0, -214748.3648).spawn_key == (channel.NOISE_STREAM, 0)
+        with pytest.raises(ValueError, match="keyable range"):
+            noise_seed(0, -214748.3649)
+
 
 def e2e_channel(z_rs, z_ss_total, z_ris_g, z_st) -> complex:
     """Scalar end-to-end channel ``z_rs^T (Z_ss + diag(z_ris_g))^{-1} z_st``
@@ -827,6 +833,19 @@ class TestRealify:
         rng = np.random.default_rng(seed)
         v = crandn(rng, (n,))
         assert np.array_equal(complexify_vec(realify_vec(v)), v)
+
+    def test_complexify_maps_a_stack_row_by_row(self):
+        rows = np.random.default_rng(5).standard_normal((3, 8))
+        stacked = complexify_vec(rows)
+        assert stacked.shape == (3, 4)
+        for row, got in zip(rows, stacked):
+            assert np.array_equal(got, complexify_vec(row))
+            assert np.array_equal(realify_vec(got), row)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3)], ids=["vector", "stack"])
+    def test_complexify_rejects_odd_length(self, shape):
+        with pytest.raises(ValueError, match="even length"):
+            complexify_vec(np.ones(shape))
 
     def test_block_structure_validated(self):
         # a bound checks a real matrix's layout: even dimensions, then blocks

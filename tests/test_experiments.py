@@ -797,6 +797,19 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "--noiseless" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["lb-vs-power", "--powers-dbm", "1,x"], "expected comma-separated numbers"),
+        (["bias-vs-spacing", "--sizes", "4x"], "expected sizes like 4x4"),
+        (["bias-vs-spacing", "--sizes", "4xa"], "expected sizes like 4x4"),
+        (["bias-vs-spacing", "--sizes", "4"], "expected sizes like 4x4"),
+        (["crlb-vs-spacing", "--sizes", ","], "size list is empty"),
+    ], ids=["power-word", "size-no-width", "size-word", "size-no-x", "sizes-empty"])
+    def test_unparsable_list_exits_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, "num_transmissions: 2\n")
         assert main(["lb-vs-power", "--config", cfg]) == 2

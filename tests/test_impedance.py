@@ -522,6 +522,22 @@ class TestImpedanceSet:
                 z_ss_mutual=np.array([[0.0, 1.0], [2.0, 0.0]]),
             )
 
+    @pytest.mark.parametrize("arrays,match", [
+        (dict(z_rs=np.ones(3)), "element count"),
+        (dict(z_ss_self=np.ones(1)), "element count"),
+        (dict(z_ss_mutual=np.zeros((2, 3))), "mutual matrix shape"),
+        (dict(z_ss_mutual=np.zeros(4)), "mutual matrix shape"),
+    ], ids=["rx-vector", "self-vector", "mutual-rectangular", "mutual-flat"])
+    def test_rejects_mismatched_shapes(self, arrays, match):
+        with pytest.raises(ValueError, match=match):
+            ImpedanceSet(**{**dict(z_st=np.ones(2), z_rs=np.ones(2),
+                                   z_ss_self=np.ones(2),
+                                   z_ss_mutual=np.zeros((2, 2))), **arrays})
+
+    def test_no_elements_rejected(self):
+        with pytest.raises(ValueError, match="at least one element"):
+            impedance_matrix([], C28)
+
     def test_leaves_caller_arrays_writeable(self):
         arrays = dict(z_st=np.ones(2, dtype=complex), z_rs=np.ones(2, dtype=complex),
                       z_ss_self=np.ones(2, dtype=complex),

@@ -201,6 +201,23 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="frequency_ghz"):
             load_scenario("frequency_ghz: -2\n")
 
+    @pytest.mark.parametrize("text,key", [
+        ("half_length_over_lambda: 0\n", "half_length_over_lambda"),
+        ("radius_over_lambda: 0.015625\n", "radius_over_lambda"),  # 1/64, the half length
+        ("ris_n1: 0\n", "ris_n1"),
+        ("load_r_min_ohm: 11.0\n", "load_r_min_ohm"),
+        ("load_l_min_nh: 0\n", "load_l_min_nh"),
+        ("noise_figure_db: loud\n", "noise_figure_db"),
+    ], ids=["half-length-zero", "radius-at-half-length", "n1-zero",
+            "resistance-min-above-max", "inductance-min-zero", "string-number"])
+    def test_rejection_names_its_key(self, text, key):
+        with pytest.raises(ConfigError, match=f"^{key}"):
+            load_scenario(text)
+
+    def test_list_config_rejected(self):
+        with pytest.raises(ConfigError, match="mapping"):
+            load_scenario("- ris_n1: 2\n- ris_n2: 2\n")
+
     def test_antenna_inside_grid_rejected(self):
         with pytest.raises(ConfigError, match="tx_position_m"):
             load_scenario("tx_position_m: [0.0, 0.0, 0.0]\n")
