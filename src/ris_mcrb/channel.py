@@ -40,7 +40,7 @@ import numpy.random  # noqa: F401
 from ._blas import gecon, getrf, getrs, syevr
 from ._parallel import run_chunks
 from .errors import DegenerateDesignError, SingularModelError
-from .impedance import ImpedanceSet
+from .impedance import ImpedanceSet, _check_mutual
 from .scenario import Scenario
 
 # Substream identifiers under the scenario master seed.
@@ -237,8 +237,7 @@ def _factor(z: np.ndarray, anorm: float, context: str, certified: bool):
 def _resistance_floor(mutual: np.ndarray, base_diag: np.ndarray) -> float:
     """A lower bound on the smallest eigenvalue of ``R0``, the real
     symmetric matrix ``Re(mutual)`` (zero diagonal) with ``Re(base_diag)``
-    on its diagonal, or ``-inf`` when ``mutual`` is not exactly
-    complex-symmetric or ``R0`` is not finite.
+    on its diagonal, or ``-inf`` when ``R0`` is not finite.
 
     LAPACK's ``syevr`` gives the smallest eigenvalue of a matrix within
     ``p(N) eps ||R0||_2`` of ``R0``; the bound subtracts ``N^2 eps
@@ -247,7 +246,7 @@ def _resistance_floor(mutual: np.ndarray, base_diag: np.ndarray) -> float:
     n = mutual.shape[0]
     r0 = np.array(mutual.real, order="F")
     r0[np.arange(n), np.arange(n)] = base_diag.real
-    if not np.isfinite(r0).all() or not np.array_equal(mutual, mutual.T):
+    if not np.isfinite(r0).all():
         return -math.inf
     margin = n * n * _EPS * np.linalg.norm(r0)
     w, _, _, _, info = syevr(r0, compute_v=0, range="I", il=1, iu=1, overwrite_a=1)
@@ -328,8 +327,9 @@ def build_B(z_rs, z_ss_self, z_ss_mutual, loads) -> np.ndarray:
     """Stack the per-configuration row vectors into the G x N model matrix.
 
     Row g is ``z_rs^T (D_g + M)^{-1}``, where ``D_g = diag(z_ss_self +
-    loads_g)`` (plus any diagonal of ``z_ss_mutual``) and ``M`` is the
-    off-diagonal part of ``z_ss_mutual``. Passing ``None`` for
+    loads_g)`` and ``M`` is ``z_ss_mutual``, the mutual part of a reciprocal
+    multiport: (N, N), zero diagonal and complex-symmetric, else
+    ``ValueError`` (``impedance._check_mutual``). Passing ``None`` for
     ``z_ss_mutual`` produces the coupling-unaware model: the system is
     diagonal, row g is ``z_rs / (z_ss_self + loads_g)`` and its guard is the
     exact reciprocal condition number ``rcond(D_g) = min|d| / max|d|``.
@@ -344,7 +344,7 @@ def build_B(z_rs, z_ss_self, z_ss_mutual, loads) -> np.ndarray:
     so the transposed solve that a row requires coincides with the plain
     solve of the factored system. An LU row is guarded by its 1-norm
     reciprocal condition estimate (LAPACK's ``gecon``) unless passivity
-    certifies it. With ``M`` complex-symmetric, the Hermitian part of
+    certifies it. Since ``M`` is complex-symmetric, the Hermitian part of
     ``D_g + M`` is ``R0 + diag(Re loads_g)``, where ``R0`` is ``Re(M)`` with
     the real part of the loads-free diagonal on its diagonal. The
     impedances of a passive multiport make ``R0`` positive semidefinite:
@@ -358,12 +358,12 @@ def build_B(z_rs, z_ss_self, z_ss_mutual, loads) -> np.ndarray:
     ||D_g + M||_1)``; gecon's estimate is never below the true value but
     for rounding. A row whose bound reaches ``CERTIFICATE_MARGIN *
     RCOND_FLOOR`` skips gecon and keeps the check of getrf's ``info``
-    (``_certified``); every other row, as when ``M`` is not symmetric or a
-    value is not finite, runs gecon. ``lambda_min(R0)`` is computed once,
-    and only if some row is LU-factored. Either singularity guard raises
-    ``SingularModelError`` naming the configuration when the value is below
-    ``RCOND_FLOOR`` or not finite; where several are, it names the
-    earliest, as a serial loop would.
+    (``_certified``); every other row, as when a value is not finite, runs
+    gecon. ``lambda_min(R0)`` is computed once, and only if some row is
+    LU-factored. Either singularity guard raises ``SingularModelError``
+    naming the configuration when the value is below ``RCOND_FLOOR`` or not
+    finite; where several are, it names the earliest, as a serial loop
+    would.
 
     The ``JACOBI_CHUNK``-row chunks run through ``_parallel.run_chunks``,
     also on helper threads in a sweep worker. A chunk's rows depend only on
@@ -388,9 +388,9 @@ def build_B(z_rs, z_ss_self, z_ss_mutual, loads) -> np.ndarray:
         return np.divide(z_rs, d, out=d)
 
     mutual = np.array(z_ss_mutual, dtype=complex, order="F")
+    _check_mutual(mutual, n)
     diag = np.arange(n)
-    base_diag = mutual[diag, diag] + np.asarray(z_ss_self, dtype=complex)
-    mutual[diag, diag] = 0.0
+    base_diag = np.asarray(z_ss_self, dtype=complex)
     # 1-norm of a configuration: max over columns of these off-diagonal
     # sums plus the magnitude of the column's diagonal entry
     off_abs = np.abs(mutual)
@@ -455,13 +455,19 @@ def realify_vec(v) -> np.ndarray:
 
 
 def complexify_vec(x) -> np.ndarray:
-    """Inverse of realify_vec along the last axis: a stack of realified
-    rows, such as a trial block's noise draws, is one complex noise block."""
+    """Inverse of realify_vec along the last axis, bit for bit: a stack of
+    realified rows, such as a trial block's noise draws, is one complex
+    noise block."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] % 2:
         raise ValueError("realified vector must have even length")
     n = x.shape[-1] // 2
-    return x[..., :n] + 1j * x[..., n:]
+    # filled part by part: ``re + 1j * im`` would put NaN beside an infinite
+    # imaginary part and drop the sign of a -0.0 one
+    z = np.empty(x.shape[:-1] + (n,), dtype=complex)
+    z.real = x[..., :n]
+    z.imag = x[..., n:]
+    return z
 
 
 def as_model_matrix(d) -> np.ndarray:

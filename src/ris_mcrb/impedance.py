@@ -295,7 +295,18 @@ def mutual_impedance(p: Radiator, q: Radiator, constants: PhysicalConstants):
                            p.half_length, q.half_length, *_pair_offsets(p, q))[0]
 
 
-@dataclass(frozen=True)
+def _check_mutual(z_mutual: np.ndarray, n: int) -> None:
+    """Raise ``ValueError`` unless ``z_mutual`` is the (N, N) mutual part of
+    a reciprocal multiport: zero diagonal, exactly symmetric."""
+    if z_mutual.shape != (n, n):
+        raise ValueError("mutual matrix shape does not match element count")
+    if np.any(np.diagonal(z_mutual) != 0.0):
+        raise ValueError("mutual matrix must have a zero diagonal")
+    if not np.array_equal(z_mutual, z_mutual.T):
+        raise ValueError("mutual matrix must be symmetric (reciprocity)")
+
+
+@dataclass(frozen=True, eq=False)
 class ImpedanceSet:
     """All impedances the channel model needs: Tx->RIS and RIS->Rx coupling
     vectors, the (identical) element self impedances, and the dense
@@ -315,12 +326,7 @@ class ImpedanceSet:
         n = self.z_st.shape[0]
         if self.z_rs.shape != (n,) or self.z_ss_self.shape != (n,):
             raise ValueError("impedance vectors disagree on element count")
-        if self.z_ss_mutual.shape != (n, n):
-            raise ValueError("mutual matrix shape does not match element count")
-        if np.any(np.diagonal(self.z_ss_mutual) != 0.0):
-            raise ValueError("mutual matrix must have a zero diagonal")
-        if not np.array_equal(self.z_ss_mutual, self.z_ss_mutual.T):
-            raise ValueError("mutual matrix must be symmetric (reciprocity)")
+        _check_mutual(self.z_ss_mutual, n)
 
     @property
     def num_elements(self) -> int:

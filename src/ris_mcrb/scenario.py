@@ -9,12 +9,15 @@ Every RIS element, as well as the transmit and receive antennas, is a
 z-oriented cylindrical thin-wire dipole. Grid elements sit side by side in
 the x-y plane, which keeps parallel wires from overlapping at any spacing.
 All constructed objects are immutable and safe to share across workers.
+The value types that hold arrays (``Radiator``, ``RisGrid``, ``Scenario``)
+compare and hash by identity, as ``impedance._pair_offsets`` reads them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -88,7 +91,7 @@ def derive_constants(frequency: float) -> PhysicalConstants:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Radiator:
     """A z-oriented cylindrical thin-wire dipole.
 
@@ -117,7 +120,7 @@ class Radiator:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RisGrid:
     """Regular n1 x n2 element grid in the x-y plane, row-major order."""
 
@@ -203,13 +206,13 @@ def dbm_to_watts(dbm: float) -> float:
         raise ValueError(f"power {dbm} dBm overflows in watts") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """Validated physical setup plus the config mapping it was built from.
 
-    ``config`` is the fully-defaulted flat mapping; dumping it and loading
-    the dump reproduces the scenario (including element positions)
-    bit for bit.
+    ``config`` is the fully-defaulted flat mapping, read-only and with its
+    3-vectors as tuples; dumping it and loading the dump reproduces the
+    scenario (including element positions) bit for bit.
     """
 
     constants: PhysicalConstants
@@ -223,7 +226,7 @@ class Scenario:
     load_resistance_range: tuple[float, float]  # ohm
     load_inductance_range: tuple[float, float]  # H
     rng_seed: int
-    config: dict = field(repr=False)
+    config: MappingProxyType = field(repr=False)
 
     def ris_radiators(self) -> list[Radiator]:
         """One thin-wire dipole per grid element, in grid order."""
@@ -349,7 +352,11 @@ def scenario_from_config(mapping: dict | None) -> Scenario:
         load_resistance_range=(r_min, r_max),
         load_inductance_range=(l_min * 1e-9, l_max * 1e-9),
         rng_seed=seed,
-        config=cfg,
+        # a fresh read-only mapping: no write reaches the scenario or, through
+        # a default 3-vector, DEFAULT_CONFIG
+        config=MappingProxyType(
+            {key: tuple(value) if key in _VEC_KEYS else value
+             for key, value in cfg.items()}),
     )
 
 
@@ -394,7 +401,7 @@ def dump_scenario(scenario: Scenario) -> str:
     """Serialize the fully-defaulted config of a scenario as YAML text."""
     import yaml
 
-    return yaml.safe_dump(scenario.config, sort_keys=True)
+    return yaml.safe_dump(dict(scenario.config), sort_keys=True)
 
 
 def default_scenario() -> Scenario:

@@ -28,7 +28,7 @@ from ris_mcrb.channel import (
     trial_generators,
 )
 from ris_mcrb.errors import SingularModelError
-from ris_mcrb.impedance import build_impedance_set
+from ris_mcrb.impedance import ImpedanceSet, build_impedance_set
 from ris_mcrb.scenario import scenario_from_config
 
 from conftest import crandn
@@ -227,6 +227,26 @@ class TestBuildB:
         # the one check that loads get: a (G, N) array for N elements
         with pytest.raises(ValueError, match=r"^loads must be \(G, 2\)"):
             build_B(np.ones(2), np.ones(2), mutual, np.full(shape, 1.0 + 1.0j))
+
+    @pytest.mark.parametrize("case", ["non-symmetric", "nonzero-diagonal", "wrong-shape"])
+    def test_mutual_part_must_be_reciprocal(self, case):
+        # the coupling-aware branch takes only the mutual part of a
+        # reciprocal multiport, checked as ImpedanceSet checks it; the
+        # non-symmetric part is strong enough to send every row to LU
+        n = 4
+        mutual = 2.0 * (np.ones((n, n)) - np.eye(n)) + 0j
+        if case == "non-symmetric":
+            mutual[0, 1] += 0.5
+        elif case == "nonzero-diagonal":
+            mutual[2, 2] = 1e-3
+        else:
+            mutual = mutual[:, :3]
+        ones = np.ones(n, dtype=complex)
+        with pytest.raises(ValueError) as rejected:
+            ImpedanceSet(z_st=ones, z_rs=ones, z_ss_self=ones, z_ss_mutual=mutual)
+        with pytest.raises(ValueError) as exc_info:
+            build_B(ones, np.full(n, 5.0 + 1.0j), mutual, np.full((2, n), 1.0 + 0j))
+        assert str(exc_info.value) == str(rejected.value)
 
     def test_singular_system_reports_condition(self):
         z_self = np.ones(2, dtype=complex)
@@ -755,17 +775,6 @@ class TestPassivityCertificate:
         assert len(gecons) == 2
         assert np.array_equal(b, lu_rows(z_rs, z_self, z_mut, loads))
 
-    def test_non_symmetric_mutual_part_certifies_nothing(self, monkeypatch):
-        n = 4
-        z_self = np.full(n, 5.0 + 1.0j)
-        z_mut = 2.0 * (np.ones((n, n)) - np.eye(n)) + 0j
-        z_mut[0, 1] += 1e-3
-        loads = np.full((2, n), 1.0 + 0j)
-        recording, record = recorded_factors()
-        with recording:
-            build_B(np.ones(n, dtype=complex), z_self, z_mut, loads)
-        assert [certified for certified, _ in record] == [False, False]
-
 
 def counting(monkeypatch, name):
     """Replace channel.name by a wrapper that records each call's args."""
@@ -841,6 +850,22 @@ class TestRealify:
         for row, got in zip(rows, stacked):
             assert np.array_equal(got, complexify_vec(row))
             assert np.array_equal(realify_vec(got), row)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["vector", "stack"])
+    def test_complexify_inverts_realify_bit_for_bit(self, stacked):
+        # infinite and -0.0 parts keep their value and sign both ways, and
+        # raise no floating-point warning (the suite runs with -W error)
+        x = np.array([-0.0, np.inf, -np.inf, 1.0, -0.0, -0.0, np.inf, -np.inf])
+        if stacked:
+            x = np.stack([x, x[::-1], -x])
+        z = complexify_vec(x)
+        for part, want in ((z.real, x[..., :4]), (z.imag, x[..., 4:])):
+            assert np.array_equal(part, want)
+            assert np.array_equal(np.signbit(part), np.signbit(want))
+        for row, v in zip(np.atleast_2d(x), np.atleast_2d(z)):
+            back = realify_vec(v)
+            assert np.array_equal(back, row)
+            assert np.array_equal(np.signbit(back), np.signbit(row))
 
     @pytest.mark.parametrize("shape", [(5,), (2, 3)], ids=["vector", "stack"])
     def test_complexify_rejects_odd_length(self, shape):

@@ -276,6 +276,47 @@ class TestLoadScenario:
         assert set(sc.config) == set(DEFAULT_CONFIG)
 
 
+class TestValueTypes:
+    """Array-holding value types compare and hash by identity; a scenario's
+    config is read-only."""
+
+    def test_equal_valued_radiators_and_scenarios_compare_unequal(self):
+        a = Radiator(np.zeros(3), 1e-3, 1e-5)
+        b = Radiator(np.zeros(3), 1e-3, 1e-5)
+        one, two = scenario_from_config({}), scenario_from_config({})
+        assert a == a and a != b
+        assert one == one and one != two
+        assert one.ris != two.ris
+        keys = {a: 0, b: 1, one: 2, two: 3, one.ris: 4}
+        assert [keys[k] for k in (a, b, one, two, one.ris)] == [0, 1, 2, 3, 4]
+
+    def test_config_is_read_only(self):
+        sc = scenario_from_config({})
+        with pytest.raises(TypeError):
+            sc.config["seed"] = 7
+        with pytest.raises(TypeError):
+            sc.config["tx_position_m"][0] = 99.0
+        assert sc.with_overrides().rng_seed == 0
+
+    def test_writes_reach_neither_defaults_nor_dump(self):
+        for key in ("tx_position_m", "rx_position_m", "ris_center_m"):
+            with pytest.raises(TypeError):
+                scenario_from_config({}).config[key][0] = 99.0
+        assert (DEFAULT_CONFIG["tx_position_m"], DEFAULT_CONFIG["rx_position_m"],
+                DEFAULT_CONFIG["ris_center_m"]) == ([5.0, -5.0, 3.0], [5.0, 5.0, 1.0],
+                                                    [0.0, 0.0, 0.0])
+        # the tuples dump as the same YAML block lists
+        assert dump_scenario(scenario_from_config({})) == (
+            "frequency_ghz: 28.0\nhalf_length_over_lambda: 0.015625\n"
+            "load_l_max_nh: 10.1\nload_l_min_nh: 0.1\nload_r_max_ohm: 10.1\n"
+            "load_r_min_ohm: 0.1\nnoise_bandwidth_hz: 1.0\nnoise_figure_db: 10.0\n"
+            "noise_psd_dbm_hz: -173.855\nnum_transmissions: 256\n"
+            "radius_over_lambda: 0.002\nris_center_m:\n- 0.0\n- 0.0\n- 0.0\n"
+            "ris_n1: 4\nris_n2: 4\nris_spacing_over_lambda: 0.5\n"
+            "rx_position_m:\n- 5.0\n- 5.0\n- 1.0\nseed: 0\n"
+            "tx_position_m:\n- 5.0\n- -5.0\n- 3.0\n")
+
+
 class TestNoiseModel:
     def test_reference_sigma2(self):
         noise = NoiseModel(-173.855, 10.0, 1.0)
